@@ -404,7 +404,8 @@ func benchmarkSummarySearchParallel(b *testing.B, workers int) {
 func BenchmarkSummarySearchSequential(b *testing.B) { benchmarkSummarySearchParallel(b, 1) }
 func BenchmarkSummarySearchParallel(b *testing.B)   { benchmarkSummarySearchParallel(b, -1) }
 
-// --- End-to-end experiment kernels (used by EXPERIMENTS.md) ---
+// --- End-to-end experiment kernels (the spqbench harness's; the recorded
+// end-to-end benchmark is perfbench/, declared in BENCHMARK.json) ---
 
 func BenchmarkExperimentEndToEndKernel(b *testing.B) {
 	cfg := experiments.Defaults()

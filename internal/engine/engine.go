@@ -527,13 +527,13 @@ type Engine struct {
 	wantWire bool
 
 	// Async job manager state (jobs.go). jobList holds every tracked job in
-	// submission order; jobFinished counts the terminal ones, bounded by
-	// Options.JobHistory via eviction.
-	jobsMu      sync.Mutex
-	jobsByID    map[string]*Job
-	jobList     []*Job
-	jobFinished int
-	jobSeq      atomic.Int64
+	// submission order; jobDone holds the terminal ones in completion
+	// order, bounded by Options.JobHistory via eviction from its front.
+	jobsMu   sync.Mutex
+	jobsByID map[string]*Job
+	jobList  []*Job
+	jobDone  []*Job
+	jobSeq   atomic.Int64
 }
 
 // New creates an engine over the catalog.

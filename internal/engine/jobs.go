@@ -366,7 +366,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	}
 
 	e.jobsMu.Lock()
-	if len(e.jobList)-e.jobFinished >= e.opts.MaxJobs {
+	if len(e.jobList)-len(e.jobDone) >= e.opts.MaxJobs {
 		e.jobsMu.Unlock()
 		cancel()
 		// Mirror Engine.Query's counting for rejected requests, so the
@@ -495,33 +495,31 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 	j.bump()
 	elapsed := j.finished.Sub(j.created)
 	j.mu.Unlock()
-	close(j.done)
-	j.cancel() // release the context's resources
-	e.maybeLogSlow(j.trace, j.query, j.method, elapsed)
 
-	// Bound the finished-job history.
+	// Bound the finished-job history, evicting in completion order: a job
+	// stays pollable until JobHistory newer jobs have finished, however
+	// long it ran and however many jobs were submitted after it. This runs
+	// before Done fires, so a caller woken by Done sees the history
+	// already trimmed.
 	e.jobsMu.Lock()
-	e.jobFinished++
-	for e.jobFinished > e.opts.JobHistory {
-		evicted := false
-		for i, old := range e.jobList {
-			old.mu.Lock()
-			terminal := old.state.Terminal()
-			old.mu.Unlock()
-			if terminal {
+	e.jobDone = append(e.jobDone, j)
+	for len(e.jobDone) > e.opts.JobHistory {
+		old := e.jobDone[0]
+		e.jobDone[0] = nil
+		e.jobDone = e.jobDone[1:]
+		for i, cur := range e.jobList {
+			if cur == old {
 				e.jobList = append(e.jobList[:i], e.jobList[i+1:]...)
-				delete(e.jobsByID, old.id)
-				e.jobFinished--
-				e.m.jobsEvicted.Inc()
-				evicted = true
 				break
 			}
 		}
-		if !evicted {
-			break
-		}
+		delete(e.jobsByID, old.id)
+		e.m.jobsEvicted.Inc()
 	}
 	e.jobsMu.Unlock()
+	close(j.done)
+	j.cancel() // release the context's resources
+	e.maybeLogSlow(j.trace, j.query, j.method, elapsed)
 }
 
 // observe folds one core progress report into the job's event log and

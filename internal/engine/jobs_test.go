@@ -337,6 +337,58 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestJobHistoryEvictsInCompletionOrder: a long job that finishes after
+// more than JobHistory short jobs submitted behind it is the newest
+// finished job, so it must survive eviction and stay pollable; the oldest
+// finished short job goes instead.
+func TestJobHistoryEvictsInCompletionOrder(t *testing.T) {
+	cat := newCatalog(t, 15)
+	e := New(cat, &Options{JobHistory: 2, MaxInFlight: 2, ResultCacheSize: -1})
+
+	long, err := e.Submit(hardRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, long, client.JobRunning)
+	var short []string
+	for k := 0; k < 3; k++ {
+		opts := smallCoreOptions()
+		opts.Seed = uint64(k + 1)
+		j, err := e.Submit(Request{Query: testQuery, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatal("short job did not finish")
+		}
+		short = append(short, j.ID())
+	}
+	e.CancelJob(long.ID())
+	select {
+	case <-long.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("cancelled long job did not finish")
+	}
+
+	if _, ok := e.JobByID(long.ID()); !ok {
+		t.Fatal("long job evicted the moment it finished")
+	}
+	for k, id := range short {
+		_, ok := e.JobByID(id)
+		if want := k == 2; ok != want {
+			t.Fatalf("short job %d tracked = %v, want %v", k, ok, want)
+		}
+	}
+	if n := len(e.Jobs()); n != 2 {
+		t.Fatalf("tracked jobs = %d, want 2", n)
+	}
+	if st := e.Stats(); st.JobsEvicted != 2 {
+		t.Fatalf("evicted %d jobs, want 2", st.JobsEvicted)
+	}
+}
+
 // TestSubmitValidation: malformed queries and unknown methods fail at
 // submit time, and MaxJobs bounds the active set with ErrOverloaded.
 func TestSubmitValidation(t *testing.T) {

@@ -51,7 +51,8 @@ type Config struct {
 }
 
 // Defaults returns a laptop-scale configuration with the paper's shape
-// preserved (see EXPERIMENTS.md for the scale mapping).
+// preserved (the recorded benchmark's scales are in perfbench/, declared in
+// BENCHMARK.json).
 func Defaults() Config {
 	return Config{
 		WorkloadN:   300,

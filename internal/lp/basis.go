@@ -4,10 +4,11 @@ package lp
 // each basis position plus the bound status of every structural and logical
 // variable. It is the warm-start currency between LP solves — the MILP
 // branch-and-bound seeds each child node's solve from its parent's optimal
-// basis (Options.Basis) and asks for a fresh snapshot back
-// (Options.WantBasis), so a child that differs from its parent by one
-// variable bound is reinstated by a handful of dual-simplex pivots instead of
-// a full phase-1 run from the logical basis.
+// basis (Options.Basis) and snapshots a node's own basis from its Scratch
+// (Scratch.SnapshotBasis) only when the node branches, so a child that
+// differs from its parent by one variable bound is reinstated by a handful of
+// dual-simplex pivots instead of a full phase-1 run from the logical basis.
+// Options.WantBasis attaches the snapshot to the Solution instead.
 //
 // A Basis is immutable once created and safe to share across goroutines; the
 // branch-and-bound hands one parent snapshot to both children. Statuses are

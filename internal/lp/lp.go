@@ -202,11 +202,16 @@ type Options struct {
 	// WantBasis asks the solver to attach a basis snapshot of the optimal
 	// basis to the Solution (nil unless Status is StatusOptimal).
 	WantBasis bool
-	// Scratch, when non-nil, lends the solver reusable working memory
-	// (basis-inverse rows, eta file, pricing vectors) so repeated solves —
-	// branch-and-bound explores thousands of near-identical LPs — stop
-	// allocating per solve. A Scratch must not be shared by concurrent
-	// solves; the MILP layer keeps one per worker.
+	// Scratch, when non-nil, lends the solver reusable working memory so
+	// repeated solves — branch-and-bound explores thousands of
+	// near-identical LPs — stop allocating: the simplex state, the returned
+	// *Solution and its X all live in the Scratch. The Solution (X included)
+	// is therefore valid only until the next solve on the same Scratch;
+	// callers that keep a value past that copy it. Solution.Basis, when
+	// WantBasis asked for one, is a fresh snapshot the caller owns. After
+	// the solve, (*Scratch).SnapshotBasis captures the optimal basis on
+	// demand. A Scratch must not be shared by concurrent solves; the MILP
+	// layer keeps one per worker.
 	Scratch *Scratch
 }
 
@@ -263,6 +268,9 @@ func Solve(p *Problem, opts *Options) (*Solution, error) {
 // mutated, so concurrent solves over one Problem with different bound
 // vectors are safe.
 func SolveWithBounds(p *Problem, varLo, varHi []float64, opts *Options) (*Solution, error) {
+	if opts != nil && opts.Scratch != nil {
+		opts.Scratch.optimal = false // until this solve ends optimal
+	}
 	if varLo == nil {
 		varLo = p.varLo
 	}
@@ -274,14 +282,35 @@ func SolveWithBounds(p *Problem, varLo, varHi []float64, opts *Options) (*Soluti
 	}
 	for j := 0; j < p.nvars; j++ {
 		if varLo[j] > varHi[j] {
-			return &Solution{Status: StatusInfeasible, X: make([]float64, p.nvars)}, nil
+			return infeasibleSolution(opts, p.nvars), nil
 		}
 	}
 	for i := range p.rowLo {
 		if p.rowLo[i] > p.rowHi[i] {
-			return &Solution{Status: StatusInfeasible, X: make([]float64, p.nvars)}, nil
+			return infeasibleSolution(opts, p.nvars), nil
 		}
 	}
 	s := newSimplex(p, varLo, varHi, opts)
 	return s.solve()
+}
+
+// newSolution returns the Solution a solve fills — every field zero except
+// X, which has length n and unspecified contents: the Scratch's own when
+// opts lends one, a fresh one otherwise.
+func newSolution(opts *Options, n int) *Solution {
+	if opts == nil || opts.Scratch == nil {
+		return &Solution{X: make([]float64, n)}
+	}
+	sc := opts.Scratch
+	sc.sol = Solution{X: grow(sc.sol.X, n)}
+	return &sc.sol
+}
+
+// infeasibleSolution reports a bound-crossing infeasibility detected before
+// any simplex work; X is all zeros.
+func infeasibleSolution(opts *Options, n int) *Solution {
+	sol := newSolution(opts, n)
+	clear(sol.X)
+	sol.Status = StatusInfeasible
+	return sol
 }

@@ -20,64 +20,41 @@ const (
 	refactorEvery = 100  // pivots between basis refactorizations
 )
 
-// Scratch is reusable solver working memory: basis-inverse rows, the eta
-// file, pricing and ratio-test vectors, and the refactorization workspace.
-// A zero Scratch is ready to use; buffers grow to the largest problem seen
-// and are retained across solves. Not safe for concurrent solves — callers
-// that solve in parallel (the MILP branch-and-bound) keep one per worker.
+// Scratch is reusable solver working memory: the simplex state itself
+// (basis-inverse rows, eta file, pricing and ratio-test vectors, the
+// refactorization workspace) and the Solution a solve returns. A zero
+// Scratch is ready to use; buffers grow to the largest problem seen and are
+// retained across solves, so a warm solve on a Scratch allocates nothing.
+// Not safe for concurrent solves — callers that solve in parallel (the MILP
+// branch-and-bound) keep one per worker.
 type Scratch struct {
-	lo, hi     []float64
-	status     []byte
-	basis, pos []int
-	binvBack   []float64
-	binvRows   [][]float64
-	refacBack  []float64
-	refacRows  [][]float64
-	xb         []float64
-	cost       []float64
-	y, w, v    []float64
-	rho, cb    []float64
-	etaR       []int
-	etaOff     []int
-	etaWr      []float64
-	etaVal     []float64
-	etaIdx     []int32
+	s   simplex
+	sol Solution
+	// optimal reports that the last solve on this Scratch ended optimal, so
+	// s still holds the basis SnapshotBasis captures.
+	optimal bool
 }
 
-func growFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]float64, n)
+// SnapshotBasis captures the optimal basis of the last solve on this
+// Scratch — the lazy form of Options.WantBasis, for callers that learn only
+// after inspecting the solution whether they need the basis
+// (branch-and-bound snapshots only the nodes it branches on). It returns
+// nil when the last solve did not end optimal, and must be called before
+// the next solve on the Scratch.
+func (sc *Scratch) SnapshotBasis() *Basis {
+	if !sc.optimal {
+		return nil
 	}
-	return *buf
+	return sc.s.snapshotBasis()
 }
 
-func growBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]byte, n)
+// grow returns buf resliced to length n when its capacity allows, else a
+// fresh slice. Contents are unspecified; every caller overwrites them.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
 	}
-	return *buf
-}
-
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]int, n)
-	}
-	return *buf
-}
-
-func growRows(buf *[][]float64, n int) [][]float64 {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([][]float64, n)
-	}
-	return *buf
+	return make([]T, n)
 }
 
 // simplex is the working state of one solve. The basis inverse is kept in
@@ -96,10 +73,11 @@ type simplex struct {
 	lo, hi []float64 // bounds for all vars (structural then logical)
 	status []byte    // statusAtLower / statusAtUpper / statusFree / statusBasic
 
-	basis []int       // basis[k] = variable basic in position k
-	pos   []int       // pos[j] = basis position of var j, or -1
-	binv  [][]float64 // dense refactorized basis inverse, m×m
-	xb    []float64   // values of basic variables
+	basis    []int       // basis[k] = variable basic in position k
+	pos      []int       // pos[j] = basis position of var j, or -1
+	binv     [][]float64 // dense refactorized basis inverse, m×m
+	binvBack []float64   // binv's backing array
+	xb       []float64   // values of basic variables
 
 	cost []float64 // current phase cost for all vars
 	y    []float64 // duals c_Bᵀ·B⁻¹
@@ -127,53 +105,56 @@ type simplex struct {
 	boundFlips  int // dual iterations resolved by a bound flip (no eta)
 	blandActive bool
 
-	hasDL bool     // opts.Deadline is set
-	sc    *Scratch // caller-owned scratch to hand grown eta buffers back to
+	hasDL bool // opts.Deadline is set
 }
 
+// newSimplex prepares the working state of one solve: in place in the
+// Scratch's simplex when opts lends one (reusing every buffer), in a fresh
+// simplex otherwise.
 func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 	n, m := p.nvars, len(p.rowLo)
 	opts := o.withDefaults(m, n)
-	sc := opts.Scratch
-	if sc == nil {
-		sc = &Scratch{}
+	var s *simplex
+	if opts.Scratch != nil {
+		s = &opts.Scratch.s
+	} else {
+		s = new(simplex)
 	}
-	s := &simplex{
-		p:      p,
-		opts:   opts,
-		n:      n,
-		m:      m,
-		total:  n + m,
-		lo:     growFloats(&sc.lo, n+m),
-		hi:     growFloats(&sc.hi, n+m),
-		status: growBytes(&sc.status, n+m),
-		basis:  growInts(&sc.basis, m),
-		pos:    growInts(&sc.pos, n+m),
-		xb:     growFloats(&sc.xb, m),
-		cost:   growFloats(&sc.cost, n+m),
-		y:      growFloats(&sc.y, m),
-		w:      growFloats(&sc.w, m),
-		v:      growFloats(&sc.v, m),
-		rho:    growFloats(&sc.rho, m),
-		cb:     growFloats(&sc.cb, m),
-		sc:     opts.Scratch,
+	// The literal reads the previous solve's buffers before it overwrites
+	// s, and zeroes every counter.
+	*s = simplex{
+		p:         p,
+		opts:      opts,
+		n:         n,
+		m:         m,
+		total:     n + m,
+		lo:        grow(s.lo, n+m),
+		hi:        grow(s.hi, n+m),
+		status:    grow(s.status, n+m),
+		basis:     grow(s.basis, m),
+		pos:       grow(s.pos, n+m),
+		binvBack:  grow(s.binvBack, m*m),
+		binv:      grow(s.binv, m),
+		xb:        grow(s.xb, m),
+		cost:      grow(s.cost, n+m),
+		y:         grow(s.y, m),
+		w:         grow(s.w, m),
+		v:         grow(s.v, m),
+		rho:       grow(s.rho, m),
+		cb:        grow(s.cb, m),
+		etaR:      s.etaR[:0],
+		etaOff:    append(s.etaOff[:0], 0),
+		etaWr:     s.etaWr[:0],
+		etaVal:    s.etaVal[:0],
+		etaIdx:    s.etaIdx[:0],
+		refacBack: grow(s.refacBack, 2*m*m),
+		refacRows: grow(s.refacRows, m),
+		hasDL:     !opts.Deadline.IsZero(),
 	}
-	back := growFloats(&sc.binvBack, m*m)
-	s.binv = growRows(&sc.binvRows, m)
 	for i := 0; i < m; i++ {
-		s.binv[i] = back[i*m : (i+1)*m]
-	}
-	s.refacBack = growFloats(&sc.refacBack, 2*m*m)
-	s.refacRows = growRows(&sc.refacRows, m)
-	for i := 0; i < m; i++ {
+		s.binv[i] = s.binvBack[i*m : (i+1)*m]
 		s.refacRows[i] = s.refacBack[2*m*i : 2*m*(i+1)]
 	}
-	s.etaR = sc.etaR[:0]
-	s.etaWr = sc.etaWr[:0]
-	s.etaVal = sc.etaVal[:0]
-	s.etaIdx = sc.etaIdx[:0]
-	s.etaOff = append(sc.etaOff[:0], 0)
-	s.hasDL = !opts.Deadline.IsZero()
 	copy(s.lo, varLo)
 	copy(s.hi, varHi)
 	for i := 0; i < m; i++ {
@@ -184,20 +165,6 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 	// logical basis, the warm path goes straight to loadBasis — skipping a
 	// redundant basis-inverse init and computeXB pass per warm solve.
 	return s
-}
-
-// releaseScratch hands append-grown eta buffers back to the caller's Scratch
-// so the capacity survives into the next solve. The fixed-size buffers were
-// registered at newSimplex time.
-func (s *simplex) releaseScratch() {
-	if s.sc == nil {
-		return
-	}
-	s.sc.etaR = s.etaR
-	s.sc.etaWr = s.etaWr
-	s.sc.etaVal = s.etaVal
-	s.sc.etaIdx = s.etaIdx
-	s.sc.etaOff = s.etaOff
 }
 
 // resetToLogicalBasis installs the all-logical starting basis: B = −I, so
@@ -562,26 +529,26 @@ func (s *simplex) solve() (*Solution, error) {
 			return nil, err
 		}
 	}
-	sol := &Solution{
-		Status:      st,
-		X:           s.extractX(),
-		Iters:       s.iters,
-		DegenPivots: s.degenTotal,
-		BoundFlips:  s.boundFlips,
-		WarmStarted: warmed,
-	}
+	sol := newSolution(&s.opts, s.n)
+	s.extractX(sol.X)
+	sol.Status = st
+	sol.Iters = s.iters
+	sol.DegenPivots = s.degenTotal
+	sol.BoundFlips = s.boundFlips
+	sol.WarmStarted = warmed
 	for j := 0; j < s.n; j++ {
 		sol.Obj += s.p.obj[j] * sol.X[j]
 	}
 	if s.opts.WantBasis && st == StatusOptimal {
 		sol.Basis = s.snapshotBasis()
 	}
-	s.releaseScratch()
+	if sc := s.opts.Scratch; sc != nil {
+		sc.optimal = st == StatusOptimal
+	}
 	return sol, nil
 }
 
-func (s *simplex) extractX() []float64 {
-	x := make([]float64, s.n)
+func (s *simplex) extractX(x []float64) {
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == statusBasic {
 			x[j] = s.xb[s.pos[j]]
@@ -589,7 +556,6 @@ func (s *simplex) extractX() []float64 {
 			x[j] = s.nbVal(j)
 		}
 	}
-	return x
 }
 
 // dualReinstate restores primal feasibility from a warm-started basis with a

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -185,6 +186,71 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		t.Fatalf("small scratch obj %g != fresh %g", sSol.Obj, fSol.Obj)
 	}
 	_ = prev
+}
+
+// TestScratchWarmSolveAllocatesNothing is the node-path allocation gate: a
+// warm-started solve on a Scratch that has seen the problem once — the shape
+// of every branch-and-bound node LP — allocates nothing. The Solution and X
+// live in the Scratch; the basis is snapshotted only on request.
+func TestScratchWarmSolveAllocatesNothing(t *testing.T) {
+	p := buildBranchy(40)
+	parent, err := Solve(p, &Options{WantBasis: true})
+	if err != nil || parent.Status != StatusOptimal {
+		t.Fatalf("parent solve: %+v err=%v", parent, err)
+	}
+	lo := append([]float64(nil), p.varLo...)
+	hi := append([]float64(nil), p.varHi...)
+	hi[3] = 1
+	opts := &Options{Basis: parent.Basis, Scratch: &Scratch{}}
+	var sol *Solution
+	solve := func() {
+		sol, err = SolveWithBounds(p, lo, hi, opts)
+	}
+	solve() // first use grows the Scratch
+	if err != nil || !sol.WarmStarted {
+		t.Fatalf("warm solve: %+v err=%v", sol, err)
+	}
+	if allocs := testing.AllocsPerRun(50, solve); allocs != 0 {
+		t.Fatalf("warm Scratch solve allocates %v times per run, want 0", allocs)
+	}
+	if err != nil || sol.Status != StatusOptimal || sol.Basis != nil {
+		t.Fatalf("repeated warm solve: %+v err=%v", sol, err)
+	}
+}
+
+// TestScratchSnapshotBasisMatchesWantBasis: the lazy snapshot taken from a
+// Scratch after the solve is the basis WantBasis would have attached, so a
+// child seeded from either follows the same path. A non-optimal last solve
+// yields no snapshot.
+func TestScratchSnapshotBasisMatchesWantBasis(t *testing.T) {
+	p := buildBranchy(24)
+	want, err := Solve(p, &Options{WantBasis: true})
+	if err != nil || want.Status != StatusOptimal {
+		t.Fatalf("solve: %+v err=%v", want, err)
+	}
+	sc := &Scratch{}
+	if _, err := Solve(p, &Options{Scratch: sc}); err != nil {
+		t.Fatal(err)
+	}
+	got := sc.SnapshotBasis()
+	if got == nil || !reflect.DeepEqual(got, want.Basis) {
+		t.Fatalf("SnapshotBasis = %+v, want %+v", got, want.Basis)
+	}
+	lo := append([]float64(nil), p.varLo...)
+	hi := append([]float64(nil), p.varHi...)
+	lo[0], hi[0] = 2, 1 // crossed bounds: infeasible before any pivot
+	sol, err := SolveWithBounds(p, lo, hi, &Options{Scratch: sc})
+	if err != nil || sol.Status != StatusInfeasible {
+		t.Fatalf("crossed bounds: %+v err=%v", sol, err)
+	}
+	for j, x := range sol.X {
+		if x != 0 {
+			t.Fatalf("infeasible X[%d] = %v, want 0", j, x)
+		}
+	}
+	if b := sc.SnapshotBasis(); b != nil {
+		t.Fatalf("SnapshotBasis after an infeasible solve = %+v, want nil", b)
+	}
 }
 
 func TestDualBoundFlipFastPath(t *testing.T) {

@@ -277,7 +277,9 @@ type Options struct {
 	// WantRootBasis asks for the root relaxation's optimal basis in
 	// Result.RootBasis so the caller can warm-start a later re-solve.
 	WantRootBasis bool
-	// LP tunes the node LP solves.
+	// LP tunes the node LP solves. Its Cancel and Deadline are replaced:
+	// every LP solve of the search polls one stop channel that Cancel and
+	// TimeLimit close, so no LP solve reads the clock.
 	LP lp.Options
 }
 

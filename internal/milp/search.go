@@ -61,7 +61,7 @@ const roundSize = 64
 // narrowed by [lo, hi] on branchVar. Nodes are immutable after creation and
 // shared across workers without locks (seedBasis is cleared by the
 // single-goroutine merge section once the node has been processed, never
-// during a round).
+// during a round). Siblings are allocated together as one [2]bbNode.
 type bbNode struct {
 	parent    *bbNode
 	branchVar int
@@ -122,8 +122,10 @@ func replaces(cand, cur incumbent) bool {
 }
 
 // bbScratch is per-worker reusable state: bound materialization buffers plus
-// the worker's lp.Scratch, which the simplex reuses across its node solves
-// (basis-inverse backing, eta file, pricing vectors).
+// the worker's lp.Scratch, which holds the simplex state and the node LP's
+// Solution across the worker's node solves. A node's Solution (X included)
+// is therefore valid only until the worker's next solve: dispose reads it,
+// and snapshots the basis from the Scratch, before the worker moves on.
 type bbScratch struct {
 	lo, hi []float64
 	stamp  []int // stamp[j] == epoch ⟹ var j already overridden this node
@@ -180,9 +182,10 @@ func (pc *pseudocosts) rate(j int, up bool) float64 {
 
 // bbResult is the disposition of one processed node.
 type bbResult struct {
-	done     bool      // false when a limit stopped the worker before this node
-	complete bool      // subtree fully resolved (pruned/feasible/infeasible/branched)
-	children []*bbNode // open subproblems, in preferred exploration order
+	done     bool       // false when a limit stopped the worker before this node
+	complete bool       // subtree fully resolved (pruned/feasible/infeasible/branched)
+	kids     [2]*bbNode // open subproblems kids[:nkids], in preferred exploration order
+	nkids    int
 	cand     incumbent // integer-feasible point found here (x nil if none)
 	lpIters  int       // simplex iterations spent on this node's LP solve
 	warm     bool      // the node LP accepted its warm-start basis
@@ -206,8 +209,10 @@ type search struct {
 	opts   Options
 	lpOpts lp.Options
 
-	deadline time.Time
-	hasDL    bool
+	// stop is closed when the search must end: the caller's Cancel or the
+	// TimeLimit timer (see stopSignal). The round loop and every LP solve
+	// poll it; nothing on the node path reads the clock.
+	stop <-chan struct{}
 
 	rootLo, rootHi []float64 // reduced-space presolved bounds
 	redInteger     []bool    // integrality mask in reduced space
@@ -233,26 +238,19 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	stop, release := stopSignal(opts.Cancel, opts.TimeLimit)
+	defer release()
 	st := &search{
 		model: m,
 		opts:  opts,
 		inc:   incumbent{obj: math.Inf(1)},
+		stop:  stop,
 	}
-	if opts.TimeLimit > 0 {
-		st.deadline = time.Now().Add(opts.TimeLimit)
-		st.hasDL = true
-	}
-	// Node LP solves inherit the caller's LP options plus the search's
-	// cancellation channel and deadline, so aborts land mid-iteration. A
-	// caller-supplied LP.Cancel/LP.Deadline is kept when the search adds
-	// none of its own (the deadline merge keeps whichever is earlier).
+	// Every LP solve, root included, polls the search's stop channel, so
+	// aborts land mid-iteration without a clock read per iteration.
 	st.lpOpts = opts.LP
-	if opts.Cancel != nil {
-		st.lpOpts.Cancel = opts.Cancel
-	}
-	if st.hasDL && (st.lpOpts.Deadline.IsZero() || st.deadline.Before(st.lpOpts.Deadline)) {
-		st.lpOpts.Deadline = st.deadline
-	}
+	st.lpOpts.Cancel = stop
+	st.lpOpts.Deadline = time.Time{}
 	st.workers = par.Workers(opts.Parallelism, roundSize)
 	if opts.InitialX != nil {
 		if obj, ok := st.checkFeasible(opts.InitialX); ok {
@@ -314,7 +312,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	}
 
 	rootOpts := st.lpOpts
-	rootOpts.WantBasis = true
+	rootOpts.WantBasis = st.opts.WantRootBasis
 	rootOpts.Basis = st.opts.RootBasis
 	rootOpts.Scratch = st.scratch(0).lp
 	rootSol, err := lp.SolveWithBounds(st.red, st.rootLo, st.rootHi, &rootOpts)
@@ -384,16 +382,28 @@ func Solve(m *Model, o *Options) (*Result, error) {
 
 // run explores the tree under the already-solved root. It returns whether
 // the search space was exhausted (i.e. the incumbent, if any, is exact).
+//
+// The frontier is a stack whose top (the end of the slice) is the next node
+// to explore: each round pops up to roundSize nodes off the top and pushes
+// every processed node's children back in reverse merge order, so the first
+// child of the round's first node ends on top. That is exactly the order of
+// queueing the round's children, in merge order, ahead of the untouched
+// frontier tail — without copying the tail every round.
 func (st *search) run(rootSol *lp.Solution) (bool, error) {
-	rootRes := st.dispose(nil, rootSol, st.inc, st.rootLo, st.rootHi)
+	rootRes := st.dispose(nil, rootSol, st.inc, st.rootLo, st.rootHi, st.scratch(0).lp)
 	if replaces(rootRes.cand, st.inc) {
 		st.inc = rootRes.cand
 	}
 	complete := rootRes.complete
-	frontier := rootRes.children
+	var stack []*bbNode
+	for c := rootRes.nkids - 1; c >= 0; c-- {
+		stack = append(stack, rootRes.kids[c])
+	}
+	round := make([]*bbNode, 0, roundSize)
+	results := make([]bbResult, roundSize)
 
-	for len(frontier) > 0 {
-		if st.interrupted() {
+	for len(stack) > 0 {
+		if st.stopped() {
 			return false, nil
 		}
 		budget := st.opts.MaxNodes - st.nodes
@@ -401,24 +411,28 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 			return false, nil
 		}
 		k := roundSize
-		if k > len(frontier) {
-			k = len(frontier)
+		if k > len(stack) {
+			k = len(stack)
 		}
 		if k > budget {
 			k = budget
 		}
-		results := make([]bbResult, k)
-		st.processRound(frontier[:k], results)
+		round = round[:k]
+		for i := range round {
+			top := len(stack) - 1
+			round[i] = stack[top]
+			stack[top] = nil // the popped slot must not pin the node
+			stack = stack[:top]
+		}
+		st.processRound(round, results[:k])
 		st.rounds++
 
 		// Merge in frontier order: deterministic regardless of which worker
-		// produced which result. Children are queued ahead of the untouched
-		// frontier tail so exploration stays depth-first-shaped. Pseudocost
-		// observations fold in here, in the same order, so the table every
-		// worker reads next round is schedule-independent.
-		next := make([]*bbNode, 0, len(frontier)+k)
+		// produced which result. Pseudocost observations fold in here, in
+		// the same order, so the table every worker reads next round is
+		// schedule-independent.
 		cut := false
-		for i := range results {
+		for i := range round {
 			r := &results[i]
 			st.lpIters += r.lpIters // zero for slots a limit left unwritten
 			if r.err != nil {
@@ -439,19 +453,26 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 			}
 			// The node is resolved; release its warm-start snapshot (its
 			// children carry their own).
-			frontier[i].seedBasis = nil
+			round[i].seedBasis = nil
 			if !r.complete {
 				complete = false
 			}
 			if replaces(r.cand, st.inc) {
 				st.inc = r.cand
 			}
-			next = append(next, r.children...)
 		}
 		if cut {
 			return false, nil
 		}
-		frontier = append(next, frontier[k:]...)
+		for i := k - 1; i >= 0; i-- {
+			r := &results[i]
+			for c := r.nkids - 1; c >= 0; c-- {
+				stack = append(stack, r.kids[c])
+			}
+			// Stale slots must not pin nodes or incumbents past this round.
+			*r = bbResult{}
+			round[i] = nil
+		}
 	}
 	return complete, nil
 }
@@ -468,7 +489,7 @@ func (st *search) processRound(round []*bbNode, results []bbResult) {
 	if workers <= 1 {
 		sc := st.scratch(0)
 		for i, n := range round {
-			if st.interrupted() {
+			if st.stopped() {
 				return
 			}
 			results[i] = st.process(n, snap, sc)
@@ -484,7 +505,7 @@ func (st *search) processRound(round []*bbNode, results []bbResult) {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(round) || st.interrupted() {
+				if i >= len(round) || st.stopped() {
 					return
 				}
 				results[i] = st.process(round[i], snap, sc)
@@ -529,13 +550,12 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 	}
 	opts := st.lpOpts
 	opts.Basis = n.seedBasis
-	opts.WantBasis = true
 	opts.Scratch = sc.lp
 	sol, err := lp.SolveWithBounds(st.red, sc.lo, sc.hi, &opts)
 	if err != nil {
 		return bbResult{done: true, err: err}
 	}
-	out := st.dispose(n, sol, snap, sc.lo, sc.hi)
+	out := st.dispose(n, sol, snap, sc.lo, sc.hi, sc.lp)
 	out.lpIters = sol.Iters
 	out.warm = sol.WarmStarted
 	out.degen = sol.DegenPivots
@@ -565,8 +585,10 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 // dispose classifies a solved node: prune, record an integer-feasible
 // candidate, or branch into children. It must depend only on its arguments
 // and between-round state (never the live incumbent) to keep rounds
-// deterministic.
-func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []float64) bbResult {
+// deterministic. sc is the Scratch sol was solved on; the node's optimal
+// basis is snapshotted from it only when the node branches, since pruned
+// nodes and integer leaves seed no child.
+func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []float64, sc *lp.Scratch) bbResult {
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		return bbResult{done: true, complete: true}
@@ -610,36 +632,71 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []
 	if st.impHi[bv] < uHi {
 		uHi = st.impHi[bv]
 	}
-	frac := val - floorV
-	down := &bbNode{parent: n, branchVar: bv, lo: dLo, hi: dHi, digit: 0, depth: depth,
-		seedBasis: sol.Basis, parentObj: sol.Obj, frac: frac}
-	up := &bbNode{parent: n, branchVar: bv, lo: uLo, hi: uHi, digit: 1, depth: depth,
-		seedBasis: sol.Basis, parentObj: sol.Obj, frac: frac}
-	// Explore the side nearer the LP value first.
-	first, second := down, up
-	if frac > 0.5 {
-		first, second = up, down
+	out := bbResult{done: true, complete: true}
+	if dLo > dHi && uLo > uHi {
+		return out // both children empty: no basis to snapshot
 	}
-	children := make([]*bbNode, 0, 2)
-	for _, c := range []*bbNode{first, second} {
-		if c.lo <= c.hi {
-			children = append(children, c)
+	frac := val - floorV
+	seed := sc.SnapshotBasis()
+	kids := &[2]bbNode{
+		{parent: n, branchVar: bv, lo: dLo, hi: dHi, digit: 0, depth: depth,
+			seedBasis: seed, parentObj: sol.Obj, frac: frac},
+		{parent: n, branchVar: bv, lo: uLo, hi: uHi, digit: 1, depth: depth,
+			seedBasis: seed, parentObj: sol.Obj, frac: frac},
+	}
+	// Explore the side nearer the LP value first.
+	order := [2]int{0, 1}
+	if frac > 0.5 {
+		order = [2]int{1, 0}
+	}
+	for _, c := range order {
+		if kids[c].lo <= kids[c].hi {
+			out.kids[out.nkids] = &kids[c]
+			out.nkids++
+		} else {
+			kids[c].seedBasis = nil // an empty child must not pin the snapshot
 		}
 	}
-	return bbResult{done: true, complete: true, children: children}
+	return out
 }
 
-// interrupted reports whether the search hit its wall-clock limit or was
-// cancelled. Safe for concurrent use (reads immutable fields only).
-func (st *search) interrupted() bool {
-	if st.opts.Cancel != nil {
-		select {
-		case <-st.opts.Cancel:
-			return true
-		default:
-		}
+// stopped reports whether the search was cancelled or hit its time limit.
+// Safe for concurrent use.
+func (st *search) stopped() bool {
+	select {
+	case <-st.stop:
+		return true
+	default:
+		return false
 	}
-	return st.hasDL && time.Now().After(st.deadline)
+}
+
+// stopSignal merges the caller's cancel channel and the time limit into the
+// one channel the search polls, so no clock is read per node or per simplex
+// iteration. The timer starts now; release frees it (and the merging
+// goroutine when both sources are set) once the search returns.
+func stopSignal(cancel <-chan struct{}, limit time.Duration) (stop <-chan struct{}, release func()) {
+	if limit <= 0 {
+		return cancel, func() {}
+	}
+	ch := make(chan struct{})
+	if cancel == nil {
+		t := time.AfterFunc(limit, func() { close(ch) })
+		return ch, func() { t.Stop() }
+	}
+	done := make(chan struct{})
+	go func() {
+		t := time.NewTimer(limit)
+		defer t.Stop()
+		select {
+		case <-cancel:
+		case <-t.C:
+		case <-done:
+			return
+		}
+		close(ch)
+	}()
+	return ch, func() { close(done) }
 }
 
 // gapMet reports whether the snapshot incumbent is within the requested
