@@ -250,52 +250,6 @@ func BenchmarkFormulateCSA(b *testing.B) {
 	}
 }
 
-// --- Ablation: tuple-wise vs scenario-wise summarization (§5.5) ---
-
-func benchmarkSummarize(b *testing.B, strat scenario.Strategy) {
-	in := workload.Galaxy(benchConfig())
-	rel := in.Table("galaxy_Q1")
-	src := rng.NewSource(3)
-	chosen := make([]int, 40)
-	for i := range chosen {
-		chosen[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.StreamingSummary(src, rel, "petromag_r", chosen, scenario.Min, nil, strat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSummarizeTupleWise(b *testing.B)    { benchmarkSummarize(b, scenario.TupleWise) }
-func BenchmarkSummarizeScenarioWise(b *testing.B) { benchmarkSummarize(b, scenario.ScenarioWise) }
-
-// Parallel variants of the same ablation: both generation orders sharded
-// across all CPUs (bit-identical summaries; see scenario.StreamingSummaryP).
-func benchmarkSummarizeParallel(b *testing.B, strat scenario.Strategy) {
-	in := workload.Galaxy(benchConfig())
-	rel := in.Table("galaxy_Q1")
-	src := rng.NewSource(3)
-	chosen := make([]int, 40)
-	for i := range chosen {
-		chosen[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.StreamingSummaryP(context.Background(), src, rel, "petromag_r", chosen, scenario.Min, nil, strat, -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSummarizeTupleWiseParallel(b *testing.B) {
-	benchmarkSummarizeParallel(b, scenario.TupleWise)
-}
-func BenchmarkSummarizeScenarioWiseParallel(b *testing.B) {
-	benchmarkSummarizeParallel(b, scenario.ScenarioWise)
-}
-
 // --- Ablation: convergence acceleration (§5.5) ---
 
 func benchmarkAcceleration(b *testing.B, disable bool) {

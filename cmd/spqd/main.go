@@ -70,7 +70,6 @@ type config struct {
 	resultCache int
 	timeout     time.Duration
 	parallelism int
-	maxResident int
 	cacheBlocks int
 	maxJobs     int
 	jobHistory  int
@@ -106,7 +105,6 @@ func main() {
 	flag.IntVar(&cfg.resultCache, "result-cache", 256, "result cache capacity in entries (negative disables)")
 	flag.DurationVar(&cfg.timeout, "timeout", 60*time.Second, "default per-query timeout")
 	flag.IntVar(&cfg.parallelism, "parallelism", 0, "per-query worker count (0 = one per CPU)")
-	flag.IntVar(&cfg.maxResident, "max-resident-scenarios", 0, "materialize scenario matrices while M stays at or under this budget (0 = always stream block-wise, negative = always materialize)")
 	flag.IntVar(&cfg.cacheBlocks, "colcache-blocks", 0, "out-of-core column block-cache capacity in 2048-value blocks (0 = 256 blocks = 4 MiB)")
 	flag.IntVar(&cfg.maxJobs, "max-jobs", 0, "max active async jobs (0 = max-inflight + max-queue)")
 	flag.IntVar(&cfg.jobHistory, "job-history", 0, "finished jobs kept pollable (0 = 64, negative disables)")
@@ -293,20 +291,19 @@ func run(cfg config) error {
 	}
 
 	eopts := &engine.Options{
-		MaxInFlight:          cfg.maxInFlight,
-		MaxQueue:             cfg.maxQueue,
-		PlanCacheSize:        cfg.cacheSize,
-		ResultCacheSize:      cfg.resultCache,
-		DefaultTimeout:       cfg.timeout,
-		Parallelism:          cfg.parallelism,
-		MaxJobs:              cfg.maxJobs,
-		MaxResidentScenarios: cfg.maxResident,
-		JobHistory:           cfg.jobHistory,
-		ReadOnly:             cfg.readOnly,
-		Logger:               logger,
-		SlowQuery:            cfg.slowQuery,
-		Tenants:              tenants,
-		Classes:              classes,
+		MaxInFlight:     cfg.maxInFlight,
+		MaxQueue:        cfg.maxQueue,
+		PlanCacheSize:   cfg.cacheSize,
+		ResultCacheSize: cfg.resultCache,
+		DefaultTimeout:  cfg.timeout,
+		Parallelism:     cfg.parallelism,
+		MaxJobs:         cfg.maxJobs,
+		JobHistory:      cfg.jobHistory,
+		ReadOnly:        cfg.readOnly,
+		Logger:          logger,
+		SlowQuery:       cfg.slowQuery,
+		Tenants:         tenants,
+		Classes:         classes,
 	}
 	if len(tenants) > 0 {
 		parts := make([]string, len(tenants))

@@ -11,80 +11,26 @@ import (
 const objCK = -1
 
 // scenarioBank is what CSA-Solve actually consumes from a scenario
-// population: its size, greedy selection by score, and α-summarization.
-// None of those require materialized N×M matrices — partitioning depends
-// only on (M, seed), and scores/summaries fold tuple-wise — so the bank has
-// two interchangeable, bit-identical implementations behind one concrete
-// type: materialized scenario.Sets (the legacy path, kept as the fast path
-// under a MaxResidentScenarios budget and for ablations) and streaming
-// cursors that realize values block-wise on demand.
+// population: greedy selection by score and α-summarization. Neither needs
+// a materialized N×M matrix — partitioning depends only on (M, seed), and
+// scores/summaries fold tuple-wise — so the bank holds one streaming cursor
+// per summarized expression and realizes values block-wise on demand.
+// Cursors are immutable and address absolute scenario IDs, so growing M
+// needs no bank state: the caller simply partitions a larger ID range.
 type scenarioBank struct {
-	r *runner
-	// budget is Options.MaxResidentScenarios: <0 always materialize,
-	// 0 always stream, >0 materialize while M ≤ budget.
-	budget int
-	m      int
-
-	// Materialized state (nil once streaming).
-	sets   []*scenario.Set
-	objSet *scenario.Set
-
-	// Streaming state (always constructed; cursors are cheap and immutable).
+	r    *runner
 	curs []*stream.ScenarioCursor
 	obj  *stream.ScenarioCursor
-
-	streamed bool
 }
 
-// newBank creates the scenario population for one SummarySearch evaluation,
-// covering absolute scenario IDs [0, m).
-func (r *runner) newBank(m int) (*scenarioBank, error) {
-	b := &scenarioBank{r: r, budget: r.opts.MaxResidentScenarios, m: m}
-	b.curs = make([]*stream.ScenarioCursor, len(r.silp.ProbCons))
+// newBank creates the scenario population for one SummarySearch evaluation.
+func (r *runner) newBank() *scenarioBank {
+	b := &scenarioBank{r: r, curs: make([]*stream.ScenarioCursor, len(r.silp.ProbCons))}
 	for k := range r.silp.ProbCons {
 		b.curs[k] = r.silp.ConsCursor(k, r.optSrc, 0)
 	}
 	b.obj = r.silp.ObjCursor(r.optSrc, 0)
-	b.streamed = b.budget >= 0 && (b.budget == 0 || m > b.budget)
-	if !b.streamed {
-		sets, objSet, err := r.generateSets(0, m)
-		if err != nil {
-			return nil, err
-		}
-		b.sets, b.objSet = sets, objSet
-	}
-	return b, nil
-}
-
-// M returns the number of scenarios in the bank (absolute IDs [0, M)).
-func (b *scenarioBank) M() int { return b.m }
-
-// Streamed reports whether the bank currently streams realizations instead
-// of holding materialized sets.
-func (b *scenarioBank) Streamed() bool { return b.streamed }
-
-// Grow extends the population by grow scenarios. A hybrid bank whose next
-// size exceeds the budget drops its materialized sets and streams from then
-// on — values are coordinate-pure, so the switch cannot change any result.
-func (b *scenarioBank) Grow(grow int) error {
-	if !b.streamed && b.budget > 0 && b.m+grow > b.budget {
-		b.sets, b.objSet = nil, nil
-		b.streamed = true
-	}
-	if !b.streamed {
-		if err := b.r.extendSets(b.sets, b.objSet, grow); err != nil {
-			return err
-		}
-	}
-	b.m += grow
-	return nil
-}
-
-func (b *scenarioBank) set(ck int) *scenario.Set {
-	if ck == objCK {
-		return b.objSet
-	}
-	return b.sets[ck]
+	return b
 }
 
 func (b *scenarioBank) cursor(ck int) *stream.ScenarioCursor {
@@ -98,9 +44,6 @@ func (b *scenarioBank) cursor(ck int) *stream.ScenarioCursor {
 // previous solution x (nil x → the partition's leading scenarios), exactly
 // as scenario.Set.GreedyPick orders them.
 func (b *scenarioBank) Pick(ck int, part []int, alpha float64, dir scenario.Direction, x []float64) ([]int, error) {
-	if !b.streamed {
-		return b.set(ck).GreedyPick(part, alpha, dir, x), nil
-	}
 	var scores map[int]float64
 	if x != nil {
 		var err error
@@ -113,12 +56,9 @@ func (b *scenarioBank) Pick(ck int, part []int, alpha float64, dir scenario.Dire
 }
 
 // Summarize builds the α-summary of the chosen scenario IDs in direction
-// dir (accel as in scenario.Set.Summarize), streaming block-wise or folding
-// the materialized set — bit-identical either way, for any worker count.
+// dir (accel as in scenario.Set.Summarize), bit-identical to folding the
+// materialized set for any worker count.
 func (b *scenarioBank) Summarize(ck int, chosen []int, dir scenario.Direction, accel []bool) (*scenario.Summary, error) {
-	if !b.streamed {
-		return b.set(ck).SummarizeP(b.r.ctx, chosen, dir, accel, b.r.opts.Parallelism)
-	}
 	return b.cursor(ck).Summarize(b.r.ctx, chosen, dir, accel, b.r.opts.Parallelism)
 }
 

@@ -61,25 +61,6 @@ type Options struct {
 	SolverNodes int
 	// RelGap is the MILP relative optimality gap (default 1e-4).
 	RelGap float64
-	// MaxResidentScenarios bounds how many optimization scenarios per
-	// summarized expression SummarySearch may keep materialized in memory:
-	//
-	//	 0 (default) — fully streamed: summaries and greedy-selection
-	//	   scores fold block-wise over scenario cursors; no N×M matrix is
-	//	   ever built and per-query scenario memory is Θ(N) (the summary
-	//	   vectors), independent of M.
-	//	>0 — hybrid: scenario sets are materialized (the fast path for
-	//	   repeated summarization) while M stays within the budget; the
-	//	   evaluation drops them and streams once M outgrows it. The
-	//	   admission layer uses this to bound per-query memory.
-	//	<0 — always materialize (the legacy path, kept for ablations).
-	//
-	// Streamed and materialized evaluation are bit-identical — realizations
-	// are pure functions of their (attribute, tuple, scenario) coordinates —
-	// so, like Parallelism, this knob is excluded from Key(). The Naïve SAA
-	// baseline always materializes: its formulation consumes whole scenario
-	// rows.
-	MaxResidentScenarios int
 	// Parallelism is the number of worker goroutines used for scenario
 	// generation, summarization, out-of-sample validation, and the
 	// branch-and-bound MILP search. 0 or 1 run sequentially; a negative
@@ -161,11 +142,10 @@ func (o *Options) withDefaults() Options {
 
 // Key renders every result-relevant option field canonically, after
 // defaulting, so two Options values that evaluate identically share one key.
-// The engine's result cache builds its keys from it. Parallelism,
-// MaxResidentScenarios, and Progress are deliberately excluded: parallel and
-// streamed evaluation are bit-identical to sequential materialized
-// evaluation for any worker count or residency budget, and the progress
-// callback only observes, so none can change a result. Time budgets
+// The engine's result cache builds its keys from it. Parallelism and
+// Progress are deliberately excluded: parallel evaluation is bit-identical
+// to sequential evaluation for any worker count, and the progress callback
+// only observes, so neither can change a result. Time budgets
 // (TimeLimit, SolverTime, SolverNodes) are included: when a budget binds,
 // the result depends on it. Nil receivers key like the zero Options.
 func (o *Options) Key() string {

@@ -137,8 +137,8 @@ func solutionKey(x []float64, alphas []float64) string {
 // for the best (minimally conservative) CSA formulation. It returns the best
 // solution found (feasible if any iteration validated feasible) or nil when
 // every CSA was unsolvable. Iteration records are appended to *iters.
-// The scenario population arrives as a bank: materialized or streamed, the
-// selection and summarization arithmetic is identical (see bank.go).
+// The scenario population arrives as a bank of streaming cursors (see
+// bank.go), which realize only the values selection and summarization read.
 func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, iters *[]Iteration) (*Solution, error) {
 	silp := r.silp
 	k := len(silp.ProbCons)

@@ -63,7 +63,6 @@ func solveStreamed(tb testing.TB, rel *relation.Relation, seed uint64) *Solution
 		InitialM:    10,
 		IncrementM:  10,
 		MaxM:        40,
-		// MaxResidentScenarios 0: always stream.
 	})
 	if err != nil {
 		tb.Fatal(err)

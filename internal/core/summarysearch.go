@@ -118,10 +118,7 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 	if r.opts.FixedZ > 0 {
 		z = r.opts.FixedZ
 	}
-	bk, err := r.newBank(m)
-	if err != nil {
-		return nil, err
-	}
+	bk := r.newBank()
 
 	var best *Solution
 	for {
@@ -159,9 +156,6 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		grow := r.opts.IncrementM
 		if m+grow > r.opts.MaxM {
 			grow = r.opts.MaxM - m
-		}
-		if err := bk.Grow(grow); err != nil {
-			return nil, err
 		}
 		m += grow
 	}

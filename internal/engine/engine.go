@@ -41,7 +41,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -115,13 +114,6 @@ type Options struct {
 	// Parallelism is the per-query worker count handed to core.Options
 	// when the request does not set one (default: one per available CPU).
 	Parallelism int
-	// MaxResidentScenarios is the default core.Options.MaxResidentScenarios
-	// for requests that do not set one: 0 (the default) streams scenario
-	// values block-wise with constant memory, > 0 materializes scenario
-	// matrices while M stays at or under the budget, < 0 always
-	// materializes. Streamed and materialized evaluation are bit-identical,
-	// so this knob trades memory against per-summary recompute cost only.
-	MaxResidentScenarios int
 	// MaxJobs bounds the async jobs that may be active (queued or running)
 	// at once; Submit beyond it fails with ErrOverloaded (default
 	// MaxInFlight+MaxQueue, which preserves the synchronous admission
@@ -292,56 +284,6 @@ func (r *Result) Multiplicities() map[int]int {
 	}
 	return out
 }
-
-// lruCache is a tiny string-keyed LRU for the plan cache (the result cache
-// moved behind internal/resultcache.Store, which synchronizes itself).
-// The caller synchronizes access (the engine holds its mutex).
-type lruCache struct {
-	cap int
-	ll  *list.List // front = most recently used; values are *lruEntry
-	m   map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	val any
-}
-
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
-}
-
-func (c *lruCache) get(key string) (any, bool) {
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-func (c *lruCache) put(key string, val any) {
-	if el, ok := c.m[key]; ok {
-		el.Value.(*lruEntry).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*lruEntry).key)
-	}
-}
-
-func (c *lruCache) drop(key string) {
-	if el, ok := c.m[key]; ok {
-		c.ll.Remove(el)
-		delete(c.m, key)
-	}
-}
-
-func (c *lruCache) len() int { return c.ll.Len() }
 
 // plan is one cached prepared query. The SILP is lowered over an immutable
 // snapshot of the table, so a delta applied mid-evaluation cannot mix
@@ -514,8 +456,11 @@ type Engine struct {
 	// Stats() and GET /metrics both read from it.
 	m *engineMetrics
 
-	mu    sync.Mutex
-	plans *lruCache
+	// plans is the plan cache: entries carry a *plan in Local; nil when
+	// plan caching is disabled (PlanCacheSize < 0).
+	plans *resultcache.Memory
+
+	mu sync.Mutex
 	// warmHints holds warm-start state salvaged from result-cache entries a
 	// delta invalidated, keyed by result key; bounded (see maxWarmHints).
 	warmHints map[string]*warmHint
@@ -543,8 +488,10 @@ func New(cat Catalog, o *Options) *Engine {
 		cat:      cat,
 		opts:     opts,
 		sched:    newFairScheduler(opts.MaxInFlight, opts.MaxQueue, opts.Tenants),
-		plans:    newLRU(opts.PlanCacheSize),
 		jobsByID: map[string]*Job{},
+	}
+	if opts.PlanCacheSize > 0 {
+		e.plans = resultcache.NewMemory(opts.PlanCacheSize)
 	}
 	switch {
 	case opts.ResultCache != nil:
@@ -570,7 +517,7 @@ func New(cat Catalog, o *Options) *Engine {
 // soon as the table name resolves to a different relation or the relation's
 // version counter moved (e.g. re-registered data or recomputed means).
 func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
-	if p := e.planGet(key); p != nil {
+	if p, ent := e.planGet(key); p != nil {
 		if rel, ok := e.cat.Table(p.query.Table); ok && rel == p.table {
 			if rel.Version() == p.relVersion {
 				e.m.planHits.Inc()
@@ -590,7 +537,9 @@ func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
 				return &np, true, nil
 			}
 		}
-		e.planDrop(key)
+		// Drop by pointer identity: a fresh plan a concurrent prepare just
+		// stored under key survives.
+		e.plans.Drop(key, ent)
 	}
 	e.m.planMisses.Inc()
 
@@ -611,31 +560,27 @@ func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
 	return p, false, nil
 }
 
-func (e *Engine) planGet(key string) *plan {
-	if e.opts.PlanCacheSize < 0 {
-		return nil
+func (e *Engine) planGet(key string) (*plan, *resultcache.Entry) {
+	if e.plans == nil {
+		return nil, nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.plans.get(key); ok {
-		return v.(*plan)
+	if ent, ok := e.plans.Get(key); ok {
+		return ent.Local.(*plan), ent
 	}
-	return nil
+	return nil, nil
 }
 
 func (e *Engine) planPut(p *plan) {
-	if e.opts.PlanCacheSize < 0 {
-		return
+	if e.plans != nil {
+		e.plans.Put(p.key, &resultcache.Entry{Local: p})
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.plans.put(p.key, p)
 }
 
-func (e *Engine) planDrop(key string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.plans.drop(key)
+func (e *Engine) planLen() int {
+	if e.plans == nil {
+		return 0
+	}
+	return e.plans.Len()
 }
 
 // prepareSolve builds the plan for a sub-problem submission
@@ -943,9 +888,6 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	if opts.Parallelism == 0 {
 		opts.Parallelism = e.opts.Parallelism
 	}
-	if opts.MaxResidentScenarios == 0 {
-		opts.MaxResidentScenarios = e.opts.MaxResidentScenarios
-	}
 	if req.Progress != nil {
 		opts.Progress = req.Progress
 	}
@@ -1178,9 +1120,7 @@ func (e *Engine) clampable(method string, solver core.Solver, sopts *sketch.Opti
 // registry instruments GET /metrics renders, so the two surfaces agree by
 // construction.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	planLen := e.plans.len()
-	e.mu.Unlock()
+	planLen := e.planLen()
 	resultLen := 0
 	if e.results != nil {
 		resultLen = e.results.Len()

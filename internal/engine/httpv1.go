@@ -88,23 +88,22 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 	}
 	if o := sr.Options; o != nil {
 		req.Options = &core.Options{
-			Seed:                 o.Seed,
-			ValidationSeed:       o.ValidationSeed,
-			ValidationM:          o.ValidationM,
-			InitialM:             o.InitialM,
-			IncrementM:           o.IncrementM,
-			MaxM:                 o.MaxM,
-			FixedZ:               o.FixedZ,
-			IncrementZ:           o.IncrementZ,
-			Epsilon:              o.Epsilon,
-			MaxCSAIters:          o.MaxCSAIters,
-			Parallelism:          o.Parallelism,
-			MaxResidentScenarios: o.MaxResidentScenarios,
-			DisableAcceleration:  o.DisableAcceleration,
-			TimeLimit:            time.Duration(o.TimeLimitMS) * time.Millisecond,
-			SolverTime:           time.Duration(o.SolverTimeMS) * time.Millisecond,
-			SolverNodes:          o.SolverNodes,
-			RelGap:               o.RelGap,
+			Seed:                o.Seed,
+			ValidationSeed:      o.ValidationSeed,
+			ValidationM:         o.ValidationM,
+			InitialM:            o.InitialM,
+			IncrementM:          o.IncrementM,
+			MaxM:                o.MaxM,
+			FixedZ:              o.FixedZ,
+			IncrementZ:          o.IncrementZ,
+			Epsilon:             o.Epsilon,
+			MaxCSAIters:         o.MaxCSAIters,
+			Parallelism:         o.Parallelism,
+			DisableAcceleration: o.DisableAcceleration,
+			TimeLimit:           time.Duration(o.TimeLimitMS) * time.Millisecond,
+			SolverTime:          time.Duration(o.SolverTimeMS) * time.Millisecond,
+			SolverNodes:         o.SolverNodes,
+			RelGap:              o.RelGap,
 		}
 	}
 	req.Solve = sr.Solve

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,59 @@ func TestV1SubmitPollResult(t *testing.T) {
 	resp.Body.Close()
 	if len(list.Jobs) != 1 || list.Jobs[0].ID != job.ID || len(list.Jobs[0].Events) != 0 {
 		t.Fatalf("bad listing: %+v", list.Jobs)
+	}
+}
+
+// TestV1IgnoresRetiredResidencyKey pins wire compatibility for the retired
+// max_resident_scenarios option: a body that still carries it is accepted,
+// the key is ignored, and the answer is bit-identical to the same body
+// without it.
+func TestV1IgnoresRetiredResidencyKey(t *testing.T) {
+	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
+	srv := v1Server(t, e)
+	query, err := json.Marshal(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(extra string) *client.QueryResult {
+		t.Helper()
+		body := `{"query": ` + string(query) + `, "options": {"seed": 1, "validation_m": 1500,
+			"initial_m": 10, "increment_m": 10, "max_m": 60` + extra + `}}`
+		resp, err := http.Post(srv.URL+"/v1/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := decodeJob(t, resp, http.StatusAccepted)
+		deadline := time.Now().Add(60 * time.Second)
+		for !job.State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatal("job never finished")
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/v1/queries/%s?wait_ms=1000", srv.URL, job.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job = decodeJob(t, resp, http.StatusOK)
+		}
+		if job.State != client.JobSucceeded || job.Result == nil {
+			t.Fatalf("state = %q (err %+v), want succeeded", job.State, job.Error)
+		}
+		return job.Result
+	}
+	want := solve("")
+	got := solve(`, "max_resident_scenarios": -1`)
+	if got.ResultCacheHit {
+		t.Fatal("second submission was served from the result cache; it must solve")
+	}
+	if got.Feasible != want.Feasible || got.Objective != want.Objective || got.M != want.M || got.Z != want.Z {
+		t.Fatalf("answer differs: got (feasible %v, objective %v, M %d, Z %d), want (%v, %v, %d, %d)",
+			got.Feasible, got.Objective, got.M, got.Z, want.Feasible, want.Objective, want.M, want.Z)
+	}
+	if len(want.Package) == 0 || !reflect.DeepEqual(got.Package, want.Package) {
+		t.Fatalf("package = %v, want %v", got.Package, want.Package)
+	}
+	if len(want.Surpluses) == 0 || !reflect.DeepEqual(got.Surpluses, want.Surpluses) {
+		t.Fatalf("surpluses = %v, want %v", got.Surpluses, want.Surpluses)
 	}
 }
 

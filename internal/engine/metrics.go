@@ -129,12 +129,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.cancelLatency = r.NewHistogram("spq_cancel_latency_seconds", "Time from a cancel request to the job reaching a terminal state.", nil)
 	m.phase = r.NewHistogramVec("spq_phase_latency_seconds", "Per-phase latency from trace spans, labelled by phase.", "phase", nil)
 
-	r.NewGaugeFunc("spq_plan_cache_entries", "Plan cache size in entries.", func() float64 {
-		e.mu.Lock()
-		n := e.plans.len()
-		e.mu.Unlock()
-		return float64(n)
-	})
+	r.NewGaugeFunc("spq_plan_cache_entries", "Plan cache size in entries.", func() float64 { return float64(e.planLen()) })
 	r.NewGaugeFunc("spq_result_cache_entries", "Result cache size in entries.", func() float64 {
 		if e.results == nil {
 			return 0

@@ -1,19 +1,17 @@
 // Package scenario implements scenario sets and the paper's α-summaries
 // (§4.1) with the summary-selection machinery of §5: random partitioning
 // into Z groups, greedy selection of the subset G_z(α) by scenario score
-// (§5.3), and both memory-efficient generation orders of §5.5 (tuple-wise
-// and scenario-wise summarization), which produce bit-identical results
-// because realizations are pure functions of their (tuple, scenario)
-// coordinates.
+// (§5.3). Materialized Sets serve the Naïve SAA baseline and act as the
+// reference that internal/stream's block-wise ScenarioCursor (the §5.5
+// memory-efficient path SummarySearch runs on) is checked against; both
+// agree bit for bit because realizations are pure functions of their
+// (tuple, scenario) coordinates.
 package scenario
 
 import (
-	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 
-	"spq/internal/par"
 	"spq/internal/relation"
 	"spq/internal/rng"
 )
@@ -220,8 +218,8 @@ type Summary struct {
 	// Chosen records the local scenario indices the summary covers.
 	Chosen []int
 	// Dir and Accel record the fold inputs the summary was built with, so
-	// PatchSummarize can recompute individual tuples after a delta without
-	// re-deriving the per-tuple fold direction.
+	// stream.ScenarioCursor.PatchSummarize can recompute individual tuples
+	// after a delta without re-deriving the per-tuple fold direction.
 	Dir   Direction
 	Accel []bool
 }
@@ -250,86 +248,11 @@ func (s *Set) Summarize(chosen []int, dir Direction, accel []bool) *Summary {
 	return out
 }
 
-// SummarizeP is Summarize with the tuple loop sharded across workers. Each
-// tuple's extreme is computed independently, so the summary is identical to
-// the sequential one for any worker count.
-func (s *Set) SummarizeP(ctx context.Context, chosen []int, dir Direction, accel []bool, workers int) (*Summary, error) {
-	out := &Summary{Attr: s.Attr, Values: make([]float64, s.N), Chosen: append([]int(nil), chosen...), Dir: dir, Accel: cloneAccel(accel)}
-	err := par.Ranges(ctx, s.N, workers, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			d := dir
-			if accel != nil && accel[i] {
-				d = d.Opposite()
-			}
-			v := s.vals[chosen[0]][i]
-			for _, j := range chosen[1:] {
-				w := s.vals[j][i]
-				if (d == Min && w < v) || (d == Max && w > v) {
-					v = w
-				}
-			}
-			out.Values[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func cloneAccel(accel []bool) []bool {
 	if accel == nil {
 		return nil
 	}
 	return append([]bool(nil), accel...)
-}
-
-// Package-level summary-patch counters (exported through PatchCounters):
-// after a delta, warm re-solves recompute only the touched tuples of each
-// retained summary instead of re-folding all N×M values.
-var (
-	patchTuplesRecomputed atomic.Int64
-	patchTuplesReused     atomic.Int64
-)
-
-// PatchCounters returns the cumulative number of summary tuples recomputed
-// by patching versus carried over unchanged.
-func PatchCounters() (recomputed, reused int64) {
-	return patchTuplesRecomputed.Load(), patchTuplesReused.Load()
-}
-
-// PatchSummarize re-derives the summary values of only the touched tuples
-// against this set's (post-delta) realizations, reusing every other tuple
-// of prev unchanged. Because scenario realizations are pure per-coordinate
-// functions, untouched tuples realize identically before and after a delta
-// that did not reach their inputs — so the patched summary is bit-identical
-// to a full re-summarization at k×M instead of N×M cost.
-func (s *Set) PatchSummarize(prev *Summary, touched []int) *Summary {
-	out := &Summary{
-		Attr:   prev.Attr,
-		Values: append([]float64(nil), prev.Values...),
-		Chosen: prev.Chosen,
-		Dir:    prev.Dir,
-		Accel:  prev.Accel,
-	}
-	for _, i := range touched {
-		d := prev.Dir
-		if prev.Accel != nil && prev.Accel[i] {
-			d = d.Opposite()
-		}
-		v := s.vals[prev.Chosen[0]][i]
-		for _, j := range prev.Chosen[1:] {
-			w := s.vals[j][i]
-			if (d == Min && w < v) || (d == Max && w > v) {
-				v = w
-			}
-		}
-		out.Values[i] = v
-	}
-	patchTuplesRecomputed.Add(int64(len(touched)))
-	patchTuplesReused.Add(int64(s.N - len(touched)))
-	return out
 }
 
 // SatisfiedBy counts how many of the chosen scenarios a solution satisfies

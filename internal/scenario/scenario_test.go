@@ -188,7 +188,7 @@ func TestGreedyPickEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSummarizeIsTupleWiseExtreme(t *testing.T) {
+func TestSummarizeIsPerTupleExtreme(t *testing.T) {
 	rel := testRelation(t, 6)
 	s, _ := Generate(rng.NewSource(8), rel, "gain", 0, 5)
 	chosen := []int{0, 2, 4}
@@ -293,86 +293,12 @@ func TestAlphaSummaryGuaranteeMaxDirection(t *testing.T) {
 	}
 }
 
-func TestStreamingScoresMatchMaterialized(t *testing.T) {
-	rel := testRelation(t, 12)
-	src := rng.NewSource(12)
-	s, _ := Generate(src, rel, "gain", 0, 9)
-	x := []float64{1, 0, 2, 0, 0, 3, 0, 0, 0, 1, 0, 0}
-	for _, strat := range []Strategy{TupleWise, ScenarioWise} {
-		scores, err := StreamingScores(src, rel, "gain", x, s.IDs, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < s.M(); j++ {
-			if math.Abs(scores[j]-s.Score(j, x)) > 1e-12 {
-				t.Fatalf("%v scores[%d] = %v, want %v", strat, j, scores[j], s.Score(j, x))
-			}
-		}
-	}
-}
-
-func TestStreamingSummaryMatchesMaterialized(t *testing.T) {
-	rel := testRelation(t, 7)
-	src := rng.NewSource(13)
-	s, _ := Generate(src, rel, "gain", 0, 8)
-	chosen := []int{1, 3, 6}
-	accel := []bool{false, true, false, false, true, false, false}
-	want := s.Summarize(chosen, Min, accel)
-	for _, strat := range []Strategy{TupleWise, ScenarioWise} {
-		got, err := StreamingSummary(src, rel, "gain", chosen, Min, accel, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Values {
-			if got.Values[i] != want.Values[i] {
-				t.Fatalf("%v summary[%d] = %v, want %v", strat, i, got.Values[i], want.Values[i])
-			}
-		}
-	}
-}
-
-// Property (§5.5): tuple-wise and scenario-wise strategies are
-// observationally identical for any chosen subset and direction.
-func TestStrategiesEquivalentProperty(t *testing.T) {
-	rel := testRelation(t, 9)
-	src := rng.NewSource(14)
-	f := func(seed uint64, dirRaw bool) bool {
-		st := rng.NewStream(seed)
-		k := 1 + st.IntN(4)
-		chosen := make([]int, k)
-		for i := range chosen {
-			chosen[i] = st.IntN(30)
-		}
-		dir := Min
-		if dirRaw {
-			dir = Max
-		}
-		a, err1 := StreamingSummary(src, rel, "gain", chosen, dir, nil, TupleWise)
-		b, err2 := StreamingSummary(src, rel, "gain", chosen, dir, nil, ScenarioWise)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range a.Values {
-			if a.Values[i] != b.Values[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDirectionHelpers(t *testing.T) {
 	if Min.Opposite() != Max || Max.Opposite() != Min {
 		t.Fatal("Opposite wrong")
 	}
 	if Min.String() != "min" || Max.String() != "max" {
 		t.Fatal("String wrong")
-	}
-	if TupleWise.String() != "tuple-wise" || ScenarioWise.String() != "scenario-wise" {
-		t.Fatal("Strategy.String wrong")
 	}
 }
 
