@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 
+	"spq/internal/par"
+	"spq/internal/rng"
 	"spq/internal/spaql"
 	"spq/internal/translate"
 )
@@ -64,6 +67,13 @@ func packageSizeBounds(s *translate.SILP) (lo, hi float64) {
 // function for all tuples over a fixed number of validation-stream
 // scenarios. For a purely deterministic objective the exact column extremes
 // are used. Results are cached on the runner.
+//
+// The probe scenarios are sharded across Options.Parallelism workers, each
+// with one scratch stream and two reused rows. Shard extremes merge with
+// math.Min/math.Max, which are commutative and associative (NaN absorbs,
+// −0 < +0), so s̲, s̄ — and hence ε′ — are bit-identical for every worker
+// count. The probe ignores cancellation, as validation's callers read ε′
+// only from a completed validation.
 func (r *runner) probeObjectiveRange() (sLo, sHi float64) {
 	if r.probed {
 		return r.sLo, r.sHi
@@ -106,16 +116,31 @@ func (r *runner) probeObjectiveRange() (sLo, sHi float64) {
 			return sLo, sHi
 		}
 	}
-	row := make([]float64, silp.N)
-	for j := 0; j < probeScenarios; j++ {
-		if err := translate.ExprRealize(r.valSrc, silp.Rel, expr, j, row); err != nil {
-			r.sLo, r.sHi = math.Inf(-1), math.Inf(1) // unusable
-			return r.sLo, r.sHi
+	workers := par.Workers(r.opts.Parallelism, probeScenarios)
+	los, his := make([]float64, workers), make([]float64, workers)
+	err := par.Ranges(context.Background(), probeScenarios, workers, func(shard, lo, hi int) error {
+		var st rng.Stream
+		row, buf := make([]float64, silp.N), make([]float64, silp.N)
+		shardLo, shardHi := math.Inf(1), math.Inf(-1)
+		for j := lo; j < hi; j++ {
+			if err := translate.ExprRealize(&st, r.valSrc, silp.Rel, expr, j, row, buf); err != nil {
+				return err
+			}
+			for _, v := range row {
+				shardLo = math.Min(shardLo, v)
+				shardHi = math.Max(shardHi, v)
+			}
 		}
-		for _, v := range row {
-			sLo = math.Min(sLo, v)
-			sHi = math.Max(sHi, v)
-		}
+		los[shard], his[shard] = shardLo, shardHi
+		return nil
+	})
+	if err != nil {
+		r.sLo, r.sHi = math.Inf(-1), math.Inf(1) // unusable
+		return r.sLo, r.sHi
+	}
+	for k := range los {
+		sLo = math.Min(sLo, los[k])
+		sHi = math.Max(sHi, his[k])
 	}
 	r.sLo, r.sHi = sLo, sHi
 	return sLo, sHi

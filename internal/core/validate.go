@@ -6,6 +6,7 @@ import (
 
 	"spq/internal/obs"
 	"spq/internal/par"
+	"spq/internal/rng"
 	"spq/internal/spaql"
 	"spq/internal/translate"
 )
@@ -52,11 +53,12 @@ func Validate(ctx context.Context, silp *translate.SILP, x []float64, o *Options
 // a running per-scenario score is kept, so memory is Θ(M̂) regardless of N.
 //
 // The M̂ scenarios are sharded into contiguous ranges across
-// Options.Parallelism workers. Every realization is a pure function of its
-// (attribute, tuple, scenario) coordinate and each shard accumulates its
-// scenarios' scores in the same tuple-major order as the sequential path, so
-// the per-scenario scores — and hence the satisfied counts, surpluses, and
-// objective — are bit-identical for any worker count.
+// Options.Parallelism workers, each with its own scratch rng.Stream and the
+// expression's attributes resolved once per call. Every realization is a
+// pure function of its (attribute, tuple, scenario) coordinate and each
+// shard accumulates its scenarios' scores in the same tuple-major order as
+// the sequential path, so the per-scenario scores — and hence the satisfied
+// counts, surpluses, and objective — are bit-identical for any worker count.
 func (r *runner) validate(x []float64) (*Validation, error) {
 	mhat := r.opts.ValidationM
 	silp := r.silp
@@ -75,8 +77,13 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 	workers := par.Workers(r.opts.Parallelism, mhat)
 	scores := make([]float64, mhat)
 	countSatisfied := func(expr spaql.LinExpr, mask []bool, geq bool, v float64) (int, error) {
+		e, err := translate.BindExpr(silp.Rel, expr)
+		if err != nil {
+			return 0, err
+		}
 		counts := make([]int, workers)
-		err := par.Ranges(r.ctx, mhat, workers, func(shard, lo, hi int) error {
+		err = par.Ranges(r.ctx, mhat, workers, func(shard, lo, hi int) error {
+			var st rng.Stream
 			sc := scores[lo:hi]
 			for j := range sc {
 				sc[j] = 0
@@ -93,7 +100,7 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 					return err
 				}
 				for j := lo; j < hi; j++ {
-					w, err := translate.ExprValue(r.valSrc, silp.Rel, expr, i, j)
+					w, err := e.Value(&st, r.valSrc, i, j)
 					if err != nil {
 						return err
 					}

@@ -21,13 +21,15 @@ import (
 // VGFunc is a variable generation function for one stochastic attribute.
 // Value must be a pure function of (src, tuple, scenario): the same
 // coordinates always produce the same realization, regardless of the order
-// in which other coordinates are evaluated. This property is what allows
-// tuple-wise and scenario-wise summarization (§5.5) to observe identical
-// scenario sets.
+// in which other coordinates are evaluated or of what st held before. This
+// property is what keeps results bit-identical for every worker count and
+// keeps summaries streamed off a cursor equal to materialized ones.
 type VGFunc interface {
 	// Value returns the realization of the attribute for the given tuple in
-	// the given scenario.
-	Value(src rng.Source, tuple, scenario int) float64
+	// the given scenario. st is caller-owned scratch: Value reseeds it to
+	// the coordinate's substream (src.SeedAt) before drawing, so one Stream
+	// per goroutine serves every call without allocating.
+	Value(st *rng.Stream, src rng.Source, tuple, scenario int) float64
 	// ExactMean returns the closed-form mean for the tuple's variable, or
 	// NaN when no closed form is available (the mean is then estimated by
 	// scenario averaging, as in the paper's precomputation phase §3.2).
@@ -52,9 +54,9 @@ func (vg *IndependentVG) distFor(tuple int) dist.Dist {
 }
 
 // Value implements VGFunc.
-func (vg *IndependentVG) Value(src rng.Source, tuple, scenario int) float64 {
-	s := rng.NewStream(src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
-	return vg.distFor(tuple).Sample(s)
+func (vg *IndependentVG) Value(st *rng.Stream, src rng.Source, tuple, scenario int) float64 {
+	st.Reseed(src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
+	return vg.distFor(tuple).Sample(st)
 }
 
 // ExactMean implements VGFunc.
@@ -63,10 +65,10 @@ func (vg *IndependentVG) ExactMean(tuple int) float64 { return vg.distFor(tuple)
 // GroupedVG realizes variables that are correlated within groups: all tuples
 // with the same Group share one substream per scenario, so their values are
 // derived from a common random experiment (e.g. one price path per stock,
-// Figure 1 of the paper). Eval receives the shared stream and the tuple
-// index and must consume the stream identically for every tuple in a group
-// (typically by generating the full group experiment and reading off the
-// tuple's part).
+// Figure 1 of the paper). Eval receives the group's stream, freshly seeded
+// for this (group, scenario), and the tuple index; it must read the tuple's
+// part off that common experiment (e.g. replay the shared price path up to
+// the tuple's horizon), so every tuple of a group sees the same draws.
 type GroupedVG struct {
 	AttrID uint64
 	Group  []int // group id per tuple
@@ -75,9 +77,9 @@ type GroupedVG struct {
 }
 
 // Value implements VGFunc.
-func (vg *GroupedVG) Value(src rng.Source, tuple, scenario int) float64 {
-	s := rng.NewStream(src.SeedAt(vg.AttrID, uint64(vg.Group[tuple]), uint64(scenario)))
-	return vg.Eval(s, tuple)
+func (vg *GroupedVG) Value(st *rng.Stream, src rng.Source, tuple, scenario int) float64 {
+	st.Reseed(src.SeedAt(vg.AttrID, uint64(vg.Group[tuple]), uint64(scenario)))
+	return vg.Eval(st, tuple)
 }
 
 // ExactMean implements VGFunc.
@@ -96,8 +98,8 @@ type remappedVG struct {
 	orig  []int
 }
 
-func (vg *remappedVG) Value(src rng.Source, tuple, scenario int) float64 {
-	return vg.inner.Value(src, vg.orig[tuple], scenario)
+func (vg *remappedVG) Value(st *rng.Stream, src rng.Source, tuple, scenario int) float64 {
+	return vg.inner.Value(st, src, vg.orig[tuple], scenario)
 }
 
 func (vg *remappedVG) ExactMean(tuple int) float64 { return vg.inner.ExactMean(vg.orig[tuple]) }
@@ -362,46 +364,83 @@ func (r *Relation) VG(name string) (VGFunc, error) {
 	return r.stochs[i].vg, nil
 }
 
+// Attr is one attribute of a relation resolved by name (Relation.Attr), so a
+// loop that realizes many values pays the name lookup once. It is a small
+// value, safe to copy and to use concurrently.
+type Attr struct {
+	n   int
+	col []float64    // resident deterministic column
+	src ColumnSource // lazy deterministic column (col == nil, vg == nil)
+	vg  VGFunc       // stochastic attribute
+}
+
+// Attr resolves an attribute by name.
+func (r *Relation) Attr(name string) (Attr, error) {
+	if i, ok := r.detIdx[name]; ok {
+		return Attr{n: r.n, col: r.detCols[i], src: r.detSrcs[i]}, nil
+	}
+	if i, ok := r.stochIdx[name]; ok {
+		return Attr{n: r.n, vg: r.stochs[i].vg}, nil
+	}
+	return Attr{}, fmt.Errorf("relation: no attribute %q", name)
+}
+
+// Value realizes the attribute for (tuple, scenario) under source src, using
+// st as scratch (see VGFunc). Deterministic columns ignore the scenario; only
+// a lazy column's read can fail.
+func (a Attr) Value(st *rng.Stream, src rng.Source, tuple, scenario int) (float64, error) {
+	switch {
+	case a.vg != nil:
+		return a.vg.Value(st, src, tuple, scenario), nil
+	case a.col != nil:
+		return a.col[tuple], nil
+	}
+	var buf [1]float64
+	if err := a.src.ReadAt(buf[:], tuple); err != nil {
+		return 0, err
+	}
+	return buf[0], nil
+}
+
+// Realize fills out (length N) with realizations of the attribute for one
+// scenario, using st as scratch.
+func (a Attr) Realize(st *rng.Stream, src rng.Source, scenario int, out []float64) error {
+	if len(out) != a.n {
+		return errors.New("relation: output slice length mismatch")
+	}
+	switch {
+	case a.vg != nil:
+		for t := range out {
+			out[t] = a.vg.Value(st, src, t, scenario)
+		}
+		return nil
+	case a.col != nil:
+		copy(out, a.col)
+		return nil
+	}
+	return a.src.ReadAt(out, 0)
+}
+
 // Value realizes attribute attr for (tuple, scenario) under source src.
-// Deterministic columns ignore the scenario.
+// Deterministic columns ignore the scenario. It is a one-off lookup; loops
+// resolve the attribute once with Attr and reuse a scratch Stream.
 func (r *Relation) Value(src rng.Source, attr string, tuple, scenario int) (float64, error) {
-	if i, ok := r.detIdx[attr]; ok {
-		if col := r.detCols[i]; col != nil {
-			return col[tuple], nil
-		}
-		var buf [1]float64
-		if err := r.detSrcs[i].ReadAt(buf[:], tuple); err != nil {
-			return 0, err
-		}
-		return buf[0], nil
+	a, err := r.Attr(attr)
+	if err != nil {
+		return 0, err
 	}
-	if i, ok := r.stochIdx[attr]; ok {
-		return r.stochs[i].vg.Value(src, tuple, scenario), nil
-	}
-	return 0, fmt.Errorf("relation: no attribute %q", attr)
+	var st rng.Stream
+	return a.Value(&st, src, tuple, scenario)
 }
 
 // Realize fills out (length N) with realizations of attr for one scenario.
 func (r *Relation) Realize(src rng.Source, attr string, scenario int, out []float64) error {
-	if len(out) != r.n {
-		return errors.New("relation: output slice length mismatch")
+	a, err := r.Attr(attr)
+	if err != nil {
+		return err
 	}
-	if i, ok := r.detIdx[attr]; ok {
-		if col := r.detCols[i]; col != nil {
-			copy(out, col)
-			return nil
-		}
-		return r.detSrcs[i].ReadAt(out, 0)
-	}
-	i, ok := r.stochIdx[attr]
-	if !ok {
-		return fmt.Errorf("relation: no attribute %q", attr)
-	}
-	vg := r.stochs[i].vg
-	for t := 0; t < r.n; t++ {
-		out[t] = vg.Value(src, t, scenario)
-	}
-	return nil
+	var st rng.Stream
+	return a.Realize(&st, src, scenario, out)
 }
 
 // ComputeMeans populates the E(t_i.A) cache for every stochastic attribute,
@@ -412,6 +451,7 @@ func (r *Relation) Realize(src rng.Source, attr string, scenario int, out []floa
 func (r *Relation) ComputeMeans(src rng.Source, sampleM int) {
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
+	var st rng.Stream
 	for _, sa := range r.stochs {
 		col := make([]float64, r.n)
 		exact := true
@@ -429,7 +469,7 @@ func (r *Relation) ComputeMeans(src rng.Source, sampleM int) {
 			}
 			for j := 0; j < sampleM; j++ {
 				for t := 0; t < r.n; t++ {
-					col[t] += sa.vg.Value(src, t, j)
+					col[t] += sa.vg.Value(&st, src, t, j)
 				}
 			}
 			inv := 1 / float64(sampleM)

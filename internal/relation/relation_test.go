@@ -262,7 +262,8 @@ func TestIndependentVGPerTupleDists(t *testing.T) {
 		dist.Degenerate{Value: 2},
 	}}
 	src := rng.NewSource(1)
-	if vg.Value(src, 0, 0) != 1 || vg.Value(src, 1, 0) != 2 {
+	var st rng.Stream
+	if vg.Value(&st, src, 0, 0) != 1 || vg.Value(&st, src, 1, 0) != 2 {
 		t.Fatal("per-tuple distributions not honored")
 	}
 	if vg.ExactMean(1) != 2 {

@@ -50,9 +50,14 @@ func (r *Relation) SampleTuple(src rng.Source, attr string, tuple, m int) ([]flo
 	if tuple < 0 || tuple >= r.n {
 		return nil, fmt.Errorf("relation: tuple %d out of range [0, %d)", tuple, r.n)
 	}
+	a, err := r.Attr(attr)
+	if err != nil {
+		return nil, err
+	}
+	var st rng.Stream
 	out := make([]float64, m)
 	for j := 0; j < m; j++ {
-		v, err := r.Value(src, attr, tuple, j)
+		v, err := a.Value(&st, src, tuple, j)
 		if err != nil {
 			return nil, err
 		}

@@ -3,14 +3,19 @@
 //
 // The Monte Carlo data model (Jampani et al., MCDB) requires that a scenario —
 // a joint realization of every random attribute in a relation — be
-// reproducible from a single base seed. The paper's SummarySearch algorithm
-// additionally requires two different *generation orders* over the same
-// scenario set (tuple-wise and scenario-wise summarization, §5.5 of the
-// paper), which must observe identical realized values. We achieve both by
-// deriving an independent substream for every (seed, attribute, group,
-// scenario) coordinate with a SplitMix64-based hash, so the value of random
-// variable t_i.A in scenario S_j is a pure function of the coordinates and
-// never depends on generation order.
+// reproducible from a single base seed. We derive an independent substream
+// for every (seed, attribute, group, scenario) coordinate with a
+// SplitMix64-based hash, so the value of random variable t_i.A in scenario
+// S_j is a pure function of the coordinates and never depends on generation
+// order. That coordinate purity is what the engine's two bit-identity
+// guarantees rest on: sharding scenarios or tuples across any number of
+// workers changes no result, and summaries streamed block-wise off a cursor
+// equal those of materialized scenario rows.
+//
+// Hot loops realize millions of coordinates, so a Stream is a small value
+// meant to be reused: a caller owns one scratch Stream per goroutine and
+// Reseeds it in place for every coordinate (NewStream(seed) is exactly
+// Reseed(seed) on a zero Stream), which makes a realization allocation-free.
 package rng
 
 import "math"
@@ -38,14 +43,16 @@ func Mix(words ...uint64) uint64 {
 }
 
 // Stream is a small, fast PCG-XSH-RR 64/32-like generator. Each Stream is an
-// independent substream identified by the seed passed to NewStream. The zero
-// value is not valid; use NewStream.
+// independent substream identified by the seed passed to NewStream or
+// Reseed. The zero value must be Reseeded before use.
 type Stream struct {
 	state uint64
 	inc   uint64
-	// cached spare normal variate for the Box-Muller transform
-	spare    float64
-	hasSpare bool
+	// Polar form (r, θ) of the pending Box–Muller pair: the spare normal
+	// r·sin θ is computed only if it is drawn, since a stream reseeded per
+	// coordinate rarely draws it.
+	spareR, spareTheta float64
+	hasSpare           bool
 }
 
 // NewStream returns a stream deterministically derived from seed. Two streams
@@ -64,7 +71,6 @@ func (s *Stream) Reseed(seed uint64) {
 	s.state = splitmix64(&sm)
 	s.inc = splitmix64(&sm) | 1 // stream increment must be odd
 	s.hasSpare = false
-	s.spare = 0
 	// Warm up: decorrelates streams whose seeds differ in few bits.
 	s.Uint64()
 	s.Uint64()
@@ -114,12 +120,13 @@ func (s *Stream) IntN(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal variate using the Box-Muller transform with
-// spare caching.
+// Norm returns a standard normal variate using the Box-Muller transform. The
+// second variate of each pair is kept as a spare and returned by the next
+// call, unless a Reseed discards it first.
 func (s *Stream) Norm() float64 {
 	if s.hasSpare {
 		s.hasSpare = false
-		return s.spare
+		return s.spareR * math.Sin(s.spareTheta)
 	}
 	for {
 		u := s.OpenFloat64()
@@ -127,11 +134,10 @@ func (s *Stream) Norm() float64 {
 		r := math.Sqrt(-2 * math.Log(u))
 		theta := 2 * math.Pi * v
 		z0 := r * math.Cos(theta)
-		z1 := r * math.Sin(theta)
 		if math.IsInf(z0, 0) || math.IsNaN(z0) {
 			continue
 		}
-		s.spare = z1
+		s.spareR, s.spareTheta = r, theta
 		s.hasSpare = true
 		return z0
 	}

@@ -56,6 +56,37 @@ func TestReseedClearsNormalSpare(t *testing.T) {
 	}
 }
 
+// TestNormReplaysRecordedSequence pins Norm's output bits, spares included,
+// across a Reseed that discards a pending spare and a Float64 draw between a
+// pair's two halves, and checks that Reseed on a zero Stream is NewStream.
+// The values were recorded from the eager Box–Muller implementation, which
+// computed r·sin θ on every draw; the lazy spare must reproduce them.
+func TestNormReplaysRecordedSequence(t *testing.T) {
+	want := []uint64{
+		0xbff43d449f09aa13, 0xbfcc4f0ab8c6c462, 0xbfa9ef8c07df015c, 0xbff97d94faf783c4, 0x3feaa95fd71c960e,
+		0x3fde1fb5da04fb54, 0x3fcf4975cde9c0b8, 0xbff2729e3a427761, 0xbfb95b1f91a9dbfd,
+		0xbff43d449f09aa13,
+	}
+	var got []uint64
+	s := NewStream(0x5eed)
+	for i := 0; i < 5; i++ { // leaves the third pair's spare pending
+		got = append(got, math.Float64bits(s.Norm()))
+	}
+	s.Reseed(0xb0a7)
+	got = append(got, math.Float64bits(s.Norm()))
+	got = append(got, math.Float64bits(s.Float64()))
+	got = append(got, math.Float64bits(s.Norm()))
+	got = append(got, math.Float64bits(s.Norm()))
+	var z Stream
+	z.Reseed(0x5eed)
+	got = append(got, math.Float64bits(z.Norm()))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("draw %d = %#x (%v), recorded %#x (%v)", i, got[i], math.Float64frombits(got[i]), want[i], math.Float64frombits(want[i]))
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := NewStream(3)
 	for i := 0; i < 100000; i++ {
@@ -196,8 +227,8 @@ func TestStreamAtMatchesSeedAt(t *testing.T) {
 }
 
 // Property: the realized substream value at a coordinate does not depend on
-// the order in which other coordinates are visited (order independence is the
-// linchpin of tuple-wise vs scenario-wise generation equivalence).
+// the order in which other coordinates are visited (order independence is
+// what makes results worker-count invariant and streamed ≡ materialized).
 func TestCoordinateValueIsPureFunction(t *testing.T) {
 	src := NewSource(7)
 	f := func(attr, group, scen uint16) bool {

@@ -198,11 +198,55 @@ type Term struct {
 	Attr string
 }
 
+// Expr is a linear inner function Const + Σ Coef·Attr bound to one relation:
+// each term's attribute is resolved once by Bind, so realizing a value walks
+// a slice and makes one VG call per stochastic term, with no name lookup and
+// no allocation. An Expr is immutable and safe for concurrent use; the
+// scratch Stream passed to Value is not.
+type Expr struct {
+	konst float64
+	terms []boundTerm
+}
+
+type boundTerm struct {
+	coef float64
+	attr relation.Attr
+}
+
+// Bind resolves the terms' attributes against rel.
+func Bind(rel *relation.Relation, konst float64, terms []Term) (Expr, error) {
+	e := Expr{konst: konst, terms: make([]boundTerm, len(terms))}
+	for k, t := range terms {
+		a, err := rel.Attr(t.Attr)
+		if err != nil {
+			return Expr{}, err
+		}
+		e.terms[k] = boundTerm{coef: t.Coef, attr: a}
+	}
+	return e, nil
+}
+
+// Value realizes the function for one (tuple, scenario) coordinate with the
+// exact term order of translate.ExprRealize: start from Const, add Coef·attr
+// term by term. st is the caller's scratch stream (see relation.VGFunc).
+func (e *Expr) Value(st *rng.Stream, src rng.Source, tuple, scen int) (float64, error) {
+	v := e.konst
+	for _, t := range e.terms {
+		av, err := t.attr.Value(st, src, tuple, scen)
+		if err != nil {
+			return 0, err
+		}
+		v += t.coef * av
+	}
+	return v, nil
+}
+
 // ScenarioCursor produces scenario realizations of one linear inner function
 // Const + Σ Coef·Attr block-wise, never holding more than one tuple block of
 // values. Tuples excluded by Mask realize as exactly 0.0, matching the
 // materialized path's applyMask. A cursor is immutable and safe for
-// concurrent use.
+// concurrent use: each call binds its terms once (Bind) and gives every
+// shard its own scratch stream.
 type ScenarioCursor struct {
 	// Name labels summaries produced by the cursor (the constraint name).
 	Name  string
@@ -222,22 +266,15 @@ func (c *ScenarioCursor) block() int {
 	return c.Block
 }
 
-// value realizes the inner function for one (tuple, scenario) coordinate
-// with the exact term order of translate.ExprRealize: start from Const, add
-// Coef·attr term by term.
-func (c *ScenarioCursor) value(tuple, scen int) (float64, error) {
+func (c *ScenarioCursor) bind() (Expr, error) { return Bind(c.Rel, c.Const, c.Terms) }
+
+// value realizes the inner function e (the cursor's bound terms) for one
+// (tuple, scenario) coordinate, or 0 for a masked-out tuple.
+func (c *ScenarioCursor) value(e *Expr, st *rng.Stream, tuple, scen int) (float64, error) {
 	if c.Mask != nil && !c.Mask[tuple] {
 		return 0, nil
 	}
-	v := c.Const
-	for _, t := range c.Terms {
-		av, err := c.Rel.Value(c.Src, t.Attr, tuple, scen)
-		if err != nil {
-			return 0, err
-		}
-		v += t.Coef * av
-	}
-	return v, nil
+	return e.Value(st, c.Src, tuple, scen)
 }
 
 // Summarize folds the α-summary of the chosen absolute scenario IDs directly
@@ -247,10 +284,15 @@ func (c *ScenarioCursor) value(tuple, scen int) (float64, error) {
 // meaning as there. The result is bit-identical to summarizing a
 // materialized set for every worker count.
 func (c *ScenarioCursor) Summarize(ctx context.Context, chosen []int, dir scenario.Direction, accel []bool, workers int) (*scenario.Summary, error) {
+	e, err := c.bind()
+	if err != nil {
+		return nil, err
+	}
 	n := c.Rel.N()
 	out := &scenario.Summary{Attr: c.Name, Values: make([]float64, n), Chosen: append([]int(nil), chosen...), Dir: dir, Accel: cloneAccel(accel)}
 	bs := c.block()
-	err := par.Ranges(ctx, n, workers, func(_, shardLo, shardHi int) error {
+	err = par.Ranges(ctx, n, workers, func(_, shardLo, shardHi int) error {
+		var st rng.Stream
 		for lo := shardLo; lo < shardHi; lo += bs {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -264,12 +306,12 @@ func (c *ScenarioCursor) Summarize(ctx context.Context, chosen []int, dir scenar
 				if accel != nil && accel[i] {
 					d = d.Opposite()
 				}
-				v, err := c.value(i, chosen[0])
+				v, err := c.value(&e, &st, i, chosen[0])
 				if err != nil {
 					return err
 				}
 				for _, j := range chosen[1:] {
-					w, err := c.value(i, j)
+					w, err := c.value(&e, &st, i, j)
 					if err != nil {
 						return err
 					}
@@ -305,6 +347,11 @@ func cloneAccel(accel []bool) []bool {
 // identically (coordinate-pure VGs), making the patched summary
 // bit-identical to a full re-summarization.
 func (c *ScenarioCursor) PatchSummarize(ctx context.Context, prev *scenario.Summary, touched []int) (*scenario.Summary, error) {
+	e, err := c.bind()
+	if err != nil {
+		return nil, err
+	}
+	var st rng.Stream
 	out := &scenario.Summary{
 		Attr:   prev.Attr,
 		Values: append([]float64(nil), prev.Values...),
@@ -320,12 +367,12 @@ func (c *ScenarioCursor) PatchSummarize(ctx context.Context, prev *scenario.Summ
 		if prev.Accel != nil && prev.Accel[i] {
 			d = d.Opposite()
 		}
-		v, err := c.value(i, prev.Chosen[0])
+		v, err := c.value(&e, &st, i, prev.Chosen[0])
 		if err != nil {
 			return nil, err
 		}
 		for _, j := range prev.Chosen[1:] {
-			w, err := c.value(i, j)
+			w, err := c.value(&e, &st, i, j)
 			if err != nil {
 				return nil, err
 			}
@@ -354,21 +401,32 @@ const (
 // scenario.Set.Score, so greedy selection orders scenarios identically to
 // the materialized path.
 func (c *ScenarioCursor) Scores(ctx context.Context, ids []int, x []float64, workers int) ([]float64, error) {
+	e, err := c.bind()
+	if err != nil {
+		return nil, err
+	}
 	scores := make([]float64, len(ids))
-	var pkg []int
+	nnz := 0
+	for _, xi := range x {
+		if xi != 0 {
+			nnz++
+		}
+	}
+	pkg := make([]int, 0, nnz)
 	for i, xi := range x {
 		if xi != 0 {
 			pkg = append(pkg, i)
 		}
 	}
-	err := par.Ranges(ctx, len(ids), workers, func(_, lo, hi int) error {
+	err = par.Ranges(ctx, len(ids), workers, func(_, lo, hi int) error {
+		var st rng.Stream
 		for k := lo; k < hi; k++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			sum := 0.0
 			for _, i := range pkg {
-				v, err := c.value(i, ids[k])
+				v, err := c.value(&e, &st, i, ids[k])
 				if err != nil {
 					return err
 				}
@@ -407,8 +465,13 @@ func (c *ScenarioCursor) Realize(scen int, out []float64) error {
 	if len(out) != c.Rel.N() {
 		return fmt.Errorf("stream: output slice length %d, want %d", len(out), c.Rel.N())
 	}
+	e, err := c.bind()
+	if err != nil {
+		return err
+	}
+	var st rng.Stream
 	for i := range out {
-		v, err := c.value(i, scen)
+		v, err := c.value(&e, &st, i, scen)
 		if err != nil {
 			return err
 		}

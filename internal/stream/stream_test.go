@@ -257,3 +257,33 @@ func TestCursorSummarizeCancelled(t *testing.T) {
 		t.Fatal("cancelled context accepted")
 	}
 }
+
+// TestCursorScoresAllocationsConstant asserts that a Scores call allocates a
+// fixed number of objects whatever the number of scenarios and package
+// tuples it realizes: the bound terms, the output and package slices, and
+// one scratch stream, never one object per realized value.
+func TestCursorScoresAllocationsConstant(t *testing.T) {
+	rel := testRelation(t, 400)
+	cur := &ScenarioCursor{Name: "mix", Src: rng.NewSource(5), Rel: rel, Const: 1,
+		Terms: []Term{{Coef: 1, Attr: "gain"}, {Coef: 0.5, Attr: "cost"}}}
+	ctx := context.Background()
+	allocs := func(nIDs, nPkg int) float64 {
+		ids := make([]int, nIDs)
+		for k := range ids {
+			ids[k] = 3 * k
+		}
+		x := make([]float64, rel.N())
+		for i := 0; i < nPkg; i++ {
+			x[i*rel.N()/nPkg] = float64(1 + i%3)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := cur.Scores(ctx, ids, x, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2, 1), allocs(300, 80)
+	if large != small {
+		t.Fatalf("Scores allocations: %v at |ids|×|pkg| = 2×1, %v at 300×80; want no growth", small, large)
+	}
+}

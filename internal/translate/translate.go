@@ -158,14 +158,19 @@ func exprColumn(rel *relation.Relation, e spaql.LinExpr) ([]float64, error) {
 
 // ExprRealize fills out with the realized per-tuple inner-function values
 // Σ coef·attr + const for one scenario: stochastic attributes are realized
-// under src, deterministic attributes use their column values.
-func ExprRealize(src rng.Source, rel *relation.Relation, e spaql.LinExpr, scenarioID int, out []float64) error {
+// under src, deterministic attributes use their column values. st and buf
+// (length N) are the caller's scratch, so a loop over scenarios allocates
+// nothing.
+func ExprRealize(st *rng.Stream, src rng.Source, rel *relation.Relation, e spaql.LinExpr, scenarioID int, out, buf []float64) error {
 	for i := range out {
 		out[i] = e.Const
 	}
-	buf := make([]float64, rel.N())
 	for _, t := range e.Terms {
-		if err := rel.Realize(src, t.Attr, scenarioID, buf); err != nil {
+		a, err := rel.Attr(t.Attr)
+		if err != nil {
+			return err
+		}
+		if err := a.Realize(st, src, scenarioID, buf); err != nil {
 			return err
 		}
 		for i := range out {
@@ -204,18 +209,18 @@ func ExprEqual(a, b spaql.LinExpr) bool {
 	return true
 }
 
-// ExprValue returns the realized inner-function value for one tuple in one
-// scenario.
-func ExprValue(src rng.Source, rel *relation.Relation, e spaql.LinExpr, tuple, scenarioID int) (float64, error) {
-	v := e.Const
-	for _, t := range e.Terms {
-		av, err := rel.Value(src, t.Attr, tuple, scenarioID)
-		if err != nil {
-			return 0, err
-		}
-		v += t.Coef * av
+// BindExpr resolves a linear expression's attributes against rel once, for
+// loops that realize it one (tuple, scenario) value at a time.
+func BindExpr(rel *relation.Relation, e spaql.LinExpr) (stream.Expr, error) {
+	return stream.Bind(rel, e.Const, streamTerms(e))
+}
+
+func streamTerms(e spaql.LinExpr) []stream.Term {
+	terms := make([]stream.Term, len(e.Terms))
+	for i, t := range e.Terms {
+		terms[i] = stream.Term{Coef: t.Coef, Attr: t.Attr}
 	}
-	return v, nil
+	return terms
 }
 
 // Build validates and lowers a query against a relation. Means for
@@ -533,12 +538,14 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 func (s *SILP) realizeRows(ctx context.Context, src rng.Source, e spaql.LinExpr, mask []bool, first, m, workers int) ([][]float64, error) {
 	rows := make([][]float64, m)
 	err := par.Ranges(ctx, m, workers, func(_, lo, hi int) error {
+		var st rng.Stream
+		buf := make([]float64, s.N)
 		for j := lo; j < hi; j++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			row := make([]float64, s.N)
-			if err := ExprRealize(src, s.Rel, e, first+j, row); err != nil {
+			if err := ExprRealize(&st, src, s.Rel, e, first+j, row, buf); err != nil {
 				return err
 			}
 			applyMask(row, mask)
@@ -591,16 +598,12 @@ func (s *SILP) GenerateSetsP(ctx context.Context, src rng.Source, first, m, work
 
 // cursorFor binds one inner-function expression to a streaming cursor.
 func (s *SILP) cursorFor(name string, src rng.Source, e spaql.LinExpr, mask []bool, block int) *stream.ScenarioCursor {
-	terms := make([]stream.Term, len(e.Terms))
-	for i, t := range e.Terms {
-		terms[i] = stream.Term{Coef: t.Coef, Attr: t.Attr}
-	}
 	return &stream.ScenarioCursor{
 		Name:  name,
 		Src:   src,
 		Rel:   s.Rel,
 		Const: e.Const,
-		Terms: terms,
+		Terms: streamTerms(e),
 		Mask:  mask,
 		Block: block,
 	}

@@ -188,9 +188,14 @@ func TestGenerateSetsShape(t *testing.T) {
 		t.Fatalf("set shape: %d sets, M=%d N=%d", len(sets), sets[0].M(), sets[0].N)
 	}
 	// Inner-function values must match direct expression evaluation.
+	e, err := BindExpr(rel, s.ProbCons[0].Expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st rng.Stream
 	for j := 0; j < 7; j++ {
 		for i := 0; i < 5; i++ {
-			want, err := ExprValue(src, rel, s.ProbCons[0].Expr, i, j)
+			want, err := e.Value(&st, src, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}

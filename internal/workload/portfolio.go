@@ -97,7 +97,6 @@ func Portfolio(cfg Config) *Instance {
 		group := make([]int, n)
 		horizon := make([]int, n)
 		means := make([]float64, n)
-		maxH := horizons[len(horizons)-1]
 		for k := 0; k < n; k++ {
 			s := stocks[k/len(horizons)]
 			h := horizons[k%len(horizons)]
@@ -123,7 +122,7 @@ func Portfolio(cfg Config) *Instance {
 			panic(err)
 		}
 		// One shared GBM path per (stock, scenario): Eval regenerates the
-		// path prefix deterministically from the shared stream.
+		// path prefix up to the trade's horizon from the shared stream.
 		vg := &relation.GroupedVG{
 			AttrID: attrID,
 			Group:  group,
@@ -131,8 +130,8 @@ func Portfolio(cfg Config) *Instance {
 			Eval: func(st *rng.Stream, tuple int) float64 {
 				s := group[tuple]
 				g := dist.GBM{S0: price[s], Mu: drift[s], Sigma: volat[s], Dt: tradingDt}
-				path := make([]float64, maxH)
-				g.Path(st, path)
+				var path [5]float64 // the longest horizon: one trading week
+				g.Path(st, path[:horizon[tuple]])
 				return path[horizon[tuple]-1] - price[s]
 			},
 		}
