@@ -1,8 +1,8 @@
 // Command spqd is the long-running sPaQL query daemon: it loads one or more
 // of the built-in paper workloads (or a CSV table) into an in-memory
 // database and serves the concurrent execution engine's HTTP/JSON API —
-// the legacy synchronous POST /query plus the versioned async API under
-// /v1/queries (see DESIGN.md "API v1" and the spq/client Go client).
+// the versioned async API under /v1/queries (see DESIGN.md "API v1" and
+// the spq/client Go client).
 //
 //	spqd -addr :8723 -workload portfolio,galaxy -n 300
 //	curl -s localhost:8723/healthz

@@ -20,7 +20,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -117,6 +117,10 @@ func main() {
 
 	// ---- Phase 1: weighted-fair admission under sustained overload ----
 
+	c, err := client.New(base)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, tenant := range []string{"gold", "bronze"} {
@@ -124,29 +128,27 @@ func main() {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				body, _ := json.Marshal(map[string]any{
-					"query":        cheapQuery,
-					"seed":         7,
-					"validation_m": 200,
-					"initial_m":    10,
-					"max_m":        20,
-					"fixed_z":      1,
-					"timeout_ms":   20000,
-				})
+				req := client.SubmitRequest{
+					Query:     cheapQuery,
+					Tenant:    tenant,
+					TimeoutMS: 20000,
+					Options: &client.SolveOptions{
+						Seed:        7,
+						ValidationM: 200,
+						InitialM:    10,
+						MaxM:        20,
+						FixedZ:      1,
+					},
+				}
 				for {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					req, _ := http.NewRequest("POST", base+"/query", bytes.NewReader(body))
-					req.Header.Set("Content-Type", "application/json")
-					req.Header.Set(client.TenantHeader, tenant)
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
+					if _, err := c.Run(context.Background(), req); err != nil {
 						return // listener closed during shutdown
 					}
-					resp.Body.Close()
 				}
 			}(tenant)
 		}
@@ -191,10 +193,11 @@ func main() {
 		log.Fatal("FAIL: bronze tenant starved")
 	}
 
-	// ---- Phase 2: deadline-aware degradation through the v1 job API ----
+	// ---- Phase 2: deadline-aware degradation ----
 
 	sub := client.SubmitRequest{
 		Query:     cheapQuery,
+		Tenant:    "gold",
 		TimeoutMS: 800,
 		Options: &client.SolveOptions{
 			Seed:        7,
@@ -205,31 +208,9 @@ func main() {
 			Epsilon:     1e-9, // unreachable gap: only the deadline can stop this
 		},
 	}
-	body, _ := json.Marshal(sub)
-	req, _ := http.NewRequest("POST", base+"/v1/queries", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(client.TenantHeader, "gold")
-	resp, err := http.DefaultClient.Do(req)
+	job, err := c.Run(context.Background(), sub)
 	if err != nil {
-		log.Fatal(err)
-	}
-	var job client.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		log.Fatalf("FAIL: submit: HTTP %d", resp.StatusCode)
-	}
-	for !job.State.Terminal() {
-		resp, err := http.Get(base + "/v1/queries/" + job.ID + "?wait_ms=5000")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-			log.Fatal(err)
-		}
-		resp.Body.Close()
+		log.Fatalf("FAIL: submit: %v", err)
 	}
 	if job.State != client.JobSucceeded || job.Result == nil {
 		log.Fatalf("FAIL: deadline-bound job did not degrade gracefully: state=%s error=%+v", job.State, job.Error)

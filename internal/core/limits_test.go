@@ -1,8 +1,14 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"spq/internal/dist"
+	"spq/internal/milp"
+	"spq/internal/relation"
+	"spq/internal/rng"
 )
 
 // Tests for time/iteration budget handling — the machinery behind the
@@ -23,6 +29,44 @@ func TestTinyTimeLimitReturnsGracefully(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("time-limited run took %v", elapsed)
+	}
+}
+
+// TestUnconstrainedLimitReturnsBestEffort pins the budget contract at x(0),
+// the first MILP SummarySearch solves. Three tuples of price 100 under a
+// 260 budget relax to (0.6, 1, 1); rounding that overshoots the budget, so
+// a one-node budget ends the solve with no incumbent. The evaluation must
+// come back as the empty best-effort solution that reports the cut, not as
+// an error.
+func TestUnconstrainedLimitReturnsBestEffort(t *testing.T) {
+	rel := relation.New("stocks", 3)
+	if err := rel.AddDet("price", []float64{100, 100, 100}); err != nil {
+		t.Fatal(err)
+	}
+	gains := []dist.Dist{dist.Normal{Mu: 1, Sigma: 0.5}, dist.Normal{Mu: 2, Sigma: 0.5}, dist.Normal{Mu: 3, Sigma: 0.5}}
+	if err := rel.AddStoch("gain", &relation.IndependentVG{AttrID: 1, Dists: gains}); err != nil {
+		t.Fatal(err)
+	}
+	rel.ComputeMeans(rng.NewSource(7), 200)
+	silp := buildSILP(t, rel, `SELECT PACKAGE(*) FROM stocks SUCH THAT
+		SUM(price) <= 260 AND
+		SUM(gain) >= -5 WITH PROBABILITY >= 0.8
+		MAXIMIZE EXPECTED SUM(gain)`)
+	opts := smallOptions(1)
+	opts.SolverNodes = 1
+
+	sol, err := SummarySearch(silp, opts)
+	if err != nil {
+		t.Fatalf("budget-cut x(0) returned an error: %v", err)
+	}
+	if sol.Feasible || sol.X != nil || !math.IsInf(sol.EpsUpper, 1) {
+		t.Fatalf("want the empty best-effort solution, got feasible=%v X=%v EpsUpper=%v", sol.Feasible, sol.X, sol.EpsUpper)
+	}
+	if !sol.HitLimit(opts) {
+		t.Fatal("HitLimit does not report the budget cut")
+	}
+	if len(sol.Iterations) != 1 || sol.Iterations[0].SolverStatus != milp.StatusLimit || sol.MILPSolves != 1 {
+		t.Fatalf("want one recorded x(0) solve cut by the limit, got %d solves, iterations %+v", sol.MILPSolves, sol.Iterations)
 	}
 }
 

@@ -16,8 +16,10 @@ var ErrInfeasible = errors.New("core: query is infeasible (deterministic constra
 // solveUnconstrained computes x(0), the solution to SAA(Q0, M̂): the query
 // devoid of probabilistic constraints, with expectations estimated from the
 // precomputed means (Algorithm 2, line 2). It is the least conservative
-// starting point (equivalent to α = 0 summaries).
-func (r *runner) solveUnconstrained() ([]float64, error) {
+// starting point (equivalent to α = 0 summaries). When the solver budget
+// runs out before any incumbent exists, it records the cut solve in iters
+// and returns a nil x with no error.
+func (r *runner) solveUnconstrained(iters *[]Iteration) ([]float64, error) {
 	silp := r.silp
 	model := milp.NewModel()
 	for i := 0; i < silp.N; i++ {
@@ -49,8 +51,17 @@ func (r *runner) solveUnconstrained() ([]float64, error) {
 		return nil, err
 	}
 	if res.X == nil {
-		if res.Status == milp.StatusInfeasible {
+		switch res.Status {
+		case milp.StatusInfeasible:
 			return nil, ErrInfeasible
+		case milp.StatusLimit:
+			*iters = append(*iters, Iteration{
+				SolverStatus: res.Status,
+				Coefficients: res.Coefficients,
+				Nodes:        res.Nodes,
+				LPIters:      res.LPIters,
+			})
+			return nil, nil
 		}
 		return nil, fmt.Errorf("core: unconstrained solve failed: %v", res.Status)
 	}
@@ -96,9 +107,14 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		}
 	}
 
-	x0, err := r.solveUnconstrained()
+	x0, err := r.solveUnconstrained(&iters)
 	if err != nil {
 		return nil, err
+	}
+	if x0 == nil {
+		// The budget ran out before x(0) had an incumbent: the best effort
+		// is the empty, infeasible solution, and HitLimit reports the cut.
+		return r.finish(&Solution{EpsUpper: infEps(), Iterations: iters}), nil
 	}
 
 	// A query with no probabilistic component reduces to the deterministic

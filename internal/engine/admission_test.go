@@ -367,15 +367,20 @@ func TestErrToWireAdmissionCodes(t *testing.T) {
 	}
 }
 
-// TestHTTPAdmissionCodes drives both rejection paths over HTTP: a held
-// engine with no queue returns code "overloaded", a tenant over its own
-// queue quota returns code "tenant_quota", and both carry Retry-After.
+// TestHTTPAdmissionCodes drives the rejection paths over HTTP. Admission
+// runs inside the job, so a held engine with no queue fails the polled job
+// with code "overloaded", and a tenant over its own queue quota fails it
+// with "tenant_quota", both with a retry hint. A submission beyond MaxJobs
+// is refused up front: 429 with Retry-After.
 func TestHTTPAdmissionCodes(t *testing.T) {
 	cat := newCatalog(t, 15)
-	postQuery := func(srv *httptest.Server, tenant string) *http.Response {
+	submit := func(srv *httptest.Server, tenant string) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(QueryRequest{Query: testQuery, Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60})
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", bytes.NewReader(body))
+		body, _ := json.Marshal(client.SubmitRequest{
+			Query:   testQuery,
+			Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60},
+		})
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/queries", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,36 +394,23 @@ func TestHTTPAdmissionCodes(t *testing.T) {
 		}
 		return resp
 	}
-	decodeErr := func(resp *http.Response) *client.Error {
+	wantFailed := func(job *client.Job, code string) {
 		t.Helper()
-		defer resp.Body.Close()
-		var env client.ErrorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatal(err)
+		if job.State != client.JobFailed || job.Error == nil || job.Error.Code != code {
+			t.Fatalf("job state %q, error %+v, want failed with code %q", job.State, job.Error, code)
 		}
-		if env.Error == nil {
-			t.Fatal("no error in envelope")
+		if job.Error.RetryAfterMS <= 0 {
+			t.Fatalf("%s retry_after_ms = %d, want > 0", code, job.Error.RetryAfterMS)
 		}
-		return env.Error
 	}
 
 	// Path 1: global overload (slot held, no queue).
 	e := New(cat, &Options{MaxInFlight: 1, MaxQueue: -1, Parallelism: 1})
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
+	srv := v1Server(t, e)
 	if err := e.sched.Acquire(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	resp := postQuery(srv, "")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overload status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("overload response missing Retry-After")
-	}
-	if apiErr := decodeErr(resp); apiErr.Code != client.CodeOverloaded {
-		t.Fatalf("overload code = %q, want %q", apiErr.Code, client.CodeOverloaded)
-	}
+	wantFailed(waitJob(t, srv.URL, decodeJob(t, submit(srv, ""), http.StatusAccepted)), client.CodeOverloaded)
 	e.sched.Release("")
 
 	// Path 2: tenant queue quota (global room remains).
@@ -426,35 +418,38 @@ func TestHTTPAdmissionCodes(t *testing.T) {
 		MaxInFlight: 1, MaxQueue: 8, Parallelism: 1,
 		Tenants: []TenantConfig{{Name: "lim", Weight: 1, MaxQueue: 1}},
 	})
-	srv2 := httptest.NewServer(e2.Handler())
-	defer srv2.Close()
+	srv2 := v1Server(t, e2)
 	if err := e2.sched.Acquire(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp := postQuery(srv2, "lim") // queues behind the held slot
-		resp.Body.Close()
-	}()
+	queued := decodeJob(t, submit(srv2, "lim"), http.StatusAccepted) // waits behind the held slot
 	waitFor(t, "lim request queued", func() bool { return e2.sched.Waiting() == 1 })
-	resp2 := postQuery(srv2, "lim")
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("quota status = %d, want 429", resp2.StatusCode)
-	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Fatal("quota response missing Retry-After")
-	}
-	if apiErr := decodeErr(resp2); apiErr.Code != client.CodeTenantQuota {
-		t.Fatalf("quota code = %q, want %q", apiErr.Code, client.CodeTenantQuota)
-	}
+	wantFailed(waitJob(t, srv2.URL, decodeJob(t, submit(srv2, "lim"), http.StatusAccepted)), client.CodeTenantQuota)
 	e2.sched.Release("") // let the queued request run to completion
-	wg.Wait()
+	if job := waitJob(t, srv2.URL, queued); job.State != client.JobSucceeded {
+		t.Fatalf("queued job state %q (error %+v), want succeeded", job.State, job.Error)
+	}
 
 	st := e2.Stats()
 	lim := st.Tenants["lim"]
 	if lim.Rejected != 1 || lim.Admitted != 1 {
 		t.Fatalf("lim stats = %+v, want 1 rejected, 1 admitted", lim)
 	}
+
+	// Path 3: submit-time overload (MaxJobs active jobs already).
+	e3 := New(cat, &Options{MaxJobs: 1, MaxInFlight: 1, Parallelism: 1})
+	srv3 := v1Server(t, e3)
+	if err := e3.sched.Acquire(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	active := decodeJob(t, submit(srv3, ""), http.StatusAccepted)
+	resp := submit(srv3, "")
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 response missing Retry-After")
+	}
+	if apiErr := decodeEnvelope(t, resp, http.StatusTooManyRequests, client.CodeOverloaded); apiErr.RetryAfterMS <= 0 {
+		t.Fatalf("429 envelope retry_after_ms = %d, want > 0", apiErr.RetryAfterMS)
+	}
+	e3.CancelJob(active.ID)
+	e3.sched.Release("")
 }

@@ -2,11 +2,16 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"spq/client"
 	"spq/internal/core"
+	"spq/internal/dist"
+	"spq/internal/relation"
+	"spq/internal/rng"
 	"spq/internal/translate"
 )
 
@@ -181,5 +186,38 @@ func TestEngineTenantLabelDeterminism(t *testing.T) {
 		if mc[tuple] != count {
 			t.Fatalf("package differs at tuple %d: %d vs %d", tuple, count, mc[tuple])
 		}
+	}
+}
+
+// TestEngineClassBudgetCutsUnconstrainedSolve: a class node budget that
+// stops x(0), SummarySearch's first MILP, before it has any incumbent
+// leaves nothing to degrade to. The query must fail with ErrDegraded
+// (degraded_unavailable, 429), not as an internal error. Three tuples of
+// price 100 under a 260 budget relax to (0.6, 1, 1), whose rounding
+// overshoots the budget, so one node cannot find an incumbent.
+func TestEngineClassBudgetCutsUnconstrainedSolve(t *testing.T) {
+	rel := relation.New("stocks", 3)
+	if err := rel.AddDet("price", []float64{100, 100, 100}); err != nil {
+		t.Fatal(err)
+	}
+	gains := []dist.Dist{dist.Normal{Mu: 1, Sigma: 0.5}, dist.Normal{Mu: 2, Sigma: 0.5}, dist.Normal{Mu: 3, Sigma: 0.5}}
+	if err := rel.AddStoch("gain", &relation.IndependentVG{AttrID: 1, Dists: gains}); err != nil {
+		t.Fatal(err)
+	}
+	rel.ComputeMeans(rng.NewSource(7), 200)
+	e := New(testCatalog{"stocks": rel}, &Options{Classes: map[string]ClassBudget{"tiny": {SolverNodes: 1}}})
+	_, err := e.Query(context.Background(), Request{
+		Query: `SELECT PACKAGE(*) FROM stocks SUCH THAT
+			SUM(price) <= 260 AND
+			SUM(gain) >= -5 WITH PROBABILITY >= 0.8
+			MAXIMIZE EXPECTED SUM(gain)`,
+		Class:   "tiny",
+		Options: smallCoreOptions(),
+	})
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("err = %v, want ErrDegraded", err)
+	}
+	if code := errToWire(err).Code; code != client.CodeDegradedUnavailable {
+		t.Fatalf("wire code = %q, want %q", code, client.CodeDegradedUnavailable)
 	}
 }

@@ -116,8 +116,7 @@ type Options struct {
 	Parallelism int
 	// MaxJobs bounds the async jobs that may be active (queued or running)
 	// at once; Submit beyond it fails with ErrOverloaded (default
-	// MaxInFlight+MaxQueue, which preserves the synchronous admission
-	// behaviour for the legacy /query shim).
+	// MaxInFlight+MaxQueue, the admission capacity).
 	MaxJobs int
 	// JobHistory is the number of finished jobs retained for polling after
 	// completion (default 64; negative retains none).
@@ -364,11 +363,10 @@ type Stats struct {
 	MaxQueue       int                    `json:"max_queue"`
 	PlanCacheLen   int                    `json:"plan_cache_len"`
 	ResultCacheLen int                    `json:"result_cache_len"`
-	// Job-manager counters (the v1 async API; the legacy /query shim also
-	// runs through it). JobsRunning is a gauge of jobs currently in the
-	// running state; JobsCompleted counts terminal succeeded+failed jobs
-	// (cancelled ones count under JobsCancelled); JobsEvicted counts
-	// finished jobs dropped from the bounded history.
+	// Job-manager counters (the v1 async API). JobsRunning is a gauge of
+	// jobs currently in the running state; JobsCompleted counts terminal
+	// succeeded+failed jobs (cancelled ones count under JobsCancelled);
+	// JobsEvicted counts finished jobs dropped from the bounded history.
 	JobsSubmitted int64 `json:"jobs_submitted"`
 	JobsRunning   int64 `json:"jobs_running"`
 	JobsCompleted int64 `json:"jobs_completed"`

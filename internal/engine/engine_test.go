@@ -1,17 +1,16 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"spq/client"
 	"spq/internal/core"
 	"spq/internal/dist"
 	"spq/internal/relation"
@@ -27,7 +26,7 @@ func (c testCatalog) Table(name string) (*relation.Relation, bool) {
 }
 
 // newCatalog builds a small tractable stocks table with precomputed means.
-func newCatalog(t *testing.T, n int) testCatalog {
+func newCatalog(t testing.TB, n int) testCatalog {
 	t.Helper()
 	rel := relation.New("stocks", n)
 	price := make([]float64, n)
@@ -223,9 +222,8 @@ func TestEngineUnknownTableAndMethod(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	e := New(newCatalog(t, 15), nil)
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
+	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
+	srv := v1Server(t, e)
 
 	// Liveness.
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -237,35 +235,28 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
-	// Query.
-	body, _ := json.Marshal(QueryRequest{
-		Query: testQuery, Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60,
-	})
-	resp, err = http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+	// Query: submit, then poll the job to its result.
+	job := waitJob(t, srv.URL, decodeJob(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{
+		Query:   testQuery,
+		Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, IncrementM: 10, MaxM: 60},
+	}), http.StatusAccepted))
+	res := job.Result
+	if job.State != client.JobSucceeded || res == nil || !res.Feasible || len(res.Package) == 0 {
+		t.Fatalf("bad job: state %q, result %+v, error %+v", job.State, res, job.Error)
+	}
+	// The wire answer is the synchronous engine path's answer.
+	sres, err := e.Query(context.Background(), Request{Query: testQuery, Options: smallCoreOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var qres QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qres); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	if !qres.Feasible || len(qres.Package) == 0 {
-		t.Fatalf("bad query response: %+v", qres)
+	if res.Objective != sres.Objective || res.M != sres.M || len(res.Package) != len(sres.Multiplicities()) {
+		t.Fatalf("wire (objective %v, M %d, |package| %d) != sync (%v, %d, %d)",
+			res.Objective, res.M, len(res.Package), sres.Objective, sres.M, len(sres.Multiplicities()))
 	}
 
-	// Malformed query.
-	resp, err = http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"query": "SELECT NONSENSE"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed query status %d, want 400", resp.StatusCode)
-	}
+	// Malformed query: rejected at submit.
+	decodeEnvelope(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{Query: "SELECT NONSENSE"}),
+		http.StatusBadRequest, client.CodeInvalidQuery)
 
 	// Stats reflect the traffic.
 	resp, err = http.Get(srv.URL + "/stats")
@@ -277,8 +268,11 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Queries < 2 {
-		t.Fatalf("stats queries = %d, want >= 2", st.Queries)
+	if st.Queries < 3 {
+		t.Fatalf("stats queries = %d, want >= 3", st.Queries)
+	}
+	if st.JobsSubmitted != 1 || st.JobsCompleted != 1 {
+		t.Fatalf("stats jobs submitted/completed = %d/%d, want 1/1", st.JobsSubmitted, st.JobsCompleted)
 	}
 	// The successful query ran MILP solves through the branch-and-bound
 	// search; the node/worker counters must surface that.

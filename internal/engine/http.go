@@ -3,79 +3,10 @@ package engine
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
-	"time"
 
 	"spq/client"
-	"spq/internal/core"
 	"spq/internal/resultcache"
-	"spq/internal/sketch"
 )
-
-// QueryRequest is the JSON body of the legacy POST /query. It predates the
-// typed v1 options (client.SubmitRequest) and is kept byte-compatible: the
-// flat field bag still parses exactly as it always did. New clients should
-// use /v1/queries.
-type QueryRequest struct {
-	Query  string `json:"query"`
-	Method string `json:"method,omitempty"` // "summarysearch" (default) | "naive" | "sketch"
-	// TimeoutMS bounds the evaluation in milliseconds (0 = engine default).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-
-	// Evaluation options; zero values use core defaults.
-	Seed        uint64 `json:"seed,omitempty"`
-	ValidationM int    `json:"validation_m,omitempty"`
-	InitialM    int    `json:"initial_m,omitempty"`
-	IncrementM  int    `json:"increment_m,omitempty"`
-	MaxM        int    `json:"max_m,omitempty"`
-	FixedZ      int    `json:"fixed_z,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-
-	// Sketch-pipeline options for method "sketch"; zero values use sketch
-	// defaults.
-	GroupSize     int    `json:"group_size,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
-	MaxCandidates int    `json:"max_candidates,omitempty"`
-	SketchSeed    uint64 `json:"sketch_seed,omitempty"`
-}
-
-// SketchInfo reports what the sketch pipeline did for a method=sketch query.
-type SketchInfo struct {
-	Groups     int  `json:"groups"`
-	Shards     int  `json:"shards"`
-	Candidates int  `json:"candidates"`
-	FellBack   bool `json:"fell_back"`
-}
-
-// PackageTuple is one package member in a QueryResponse.
-type PackageTuple struct {
-	Tuple int `json:"tuple"` // base-relation tuple index
-	Count int `json:"count"` // multiplicity
-}
-
-// QueryResponse is the JSON body answering the legacy POST /query.
-type QueryResponse struct {
-	Feasible    bool           `json:"feasible"`
-	Objective   float64        `json:"objective"`
-	EpsUpper    float64        `json:"eps_upper,omitempty"`
-	Surpluses   []float64      `json:"surpluses,omitempty"`
-	M           int            `json:"m"`
-	Z           int            `json:"z,omitempty"`
-	PackageSize float64        `json:"package_size"`
-	Package     []PackageTuple `json:"package"`
-	CacheHit    bool           `json:"cache_hit"`
-	// ResultCacheHit reports that the whole response was served from the
-	// result cache without solving.
-	ResultCacheHit bool        `json:"result_cache_hit,omitempty"`
-	Sketch         *SketchInfo `json:"sketch,omitempty"`
-	// Degraded reports that an engine-applied budget cut the evaluation
-	// short and the package is the anytime best-so-far, with Gap its
-	// achieved validation gap (omitted when no finite bound was reached).
-	Degraded bool    `json:"degraded,omitempty"`
-	Gap      float64 `json:"gap,omitempty"`
-	WaitMS   int64   `json:"wait_ms"`
-	TotalMS  int64   `json:"total_ms"`
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -85,28 +16,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // Handler returns the engine's HTTP API:
 //
-//	POST   /query             — legacy synchronous evaluation (a thin shim
-//	                            over the job manager; QueryRequest →
-//	                            QueryResponse, byte-compatible)
 //	POST   /v1/queries        — submit an async job (see httpv1.go)
 //	GET    /v1/queries        — list jobs
 //	GET    /v1/queries/{id}   — poll a job (progress events, long-poll)
 //	DELETE /v1/queries/{id}   — cancel a job
 //	POST   /v1/queries:batch  — submit many jobs
 //	GET    /v1/queries/{id}/trace — the job's span tree (works while running)
+//	POST   /v1/tables/{name}/deltas — apply a batch mutation to a table
 //	GET    /healthz           — liveness probe
 //	GET    /stats             — engine + job-manager counters
 //	GET    /metrics           — the same instruments in Prometheus text format
 //
 // Every error — including unknown routes and disallowed methods — is the
-// structured JSON envelope with a stable code: admission rejections map to
-// 429 (with Retry-After), deadline expiry and cancellation to 504,
-// malformed queries to 400, unknown routes/jobs to 404.
+// structured JSON envelope with a stable code: a submission over MaxJobs
+// maps to 429 (with Retry-After), malformed queries to 400, unknown
+// routes/jobs to 404. Failures after submission (admission rejections,
+// deadline expiry, cancellation) land in the polled job's error with the
+// same codes.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", methodsHandler(map[string]http.HandlerFunc{
-		http.MethodPost: e.handleQuery,
-	}))
 	mux.HandleFunc("/v1/queries", methodsHandler(map[string]http.HandlerFunc{
 		http.MethodPost: e.handleV1Submit,
 		http.MethodGet:  e.handleV1List,
@@ -155,99 +83,3 @@ func (e *Engine) Handler() http.Handler {
 // maxQueryBody bounds request bodies: everything else the daemon holds is
 // capped (solve slots, queue, caches, job history), so the body must be too.
 const maxQueryBody = 1 << 20
-
-// handleQuery is the legacy synchronous endpoint, kept as a thin shim over
-// the job manager: it submits the request as a job, waits inline for the
-// terminal state, and renders the legacy response shape. A client
-// disconnect cancels the job (preserving the old request-context
-// semantics).
-func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var qr QueryRequest
-	if apiErr := decodeBody(w, r, &qr); apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	if qr.Query == "" {
-		writeError(w, &client.Error{Code: client.CodeBadRequest, Message: `missing "query"`, HTTPStatus: http.StatusBadRequest})
-		return
-	}
-	req := Request{
-		Query:       qr.Query,
-		Method:      qr.Method,
-		Timeout:     time.Duration(qr.TimeoutMS) * time.Millisecond,
-		TraceParent: r.Header.Get(client.TraceHeader),
-		Tenant:      r.Header.Get(client.TenantHeader),
-		Options: &core.Options{
-			Seed:        qr.Seed,
-			ValidationM: qr.ValidationM,
-			InitialM:    qr.InitialM,
-			IncrementM:  qr.IncrementM,
-			MaxM:        qr.MaxM,
-			FixedZ:      qr.FixedZ,
-			Parallelism: qr.Parallelism,
-		},
-	}
-	if strings.ToLower(qr.Method) == "sketch" {
-		req.Sketch = &sketch.Options{
-			GroupSize:     qr.GroupSize,
-			Shards:        qr.Shards,
-			MaxCandidates: qr.MaxCandidates,
-			Seed:          qr.SketchSeed,
-		}
-	}
-	start := time.Now()
-	j, err := e.Submit(req)
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	select {
-	case <-j.Done():
-	case <-r.Context().Done():
-		// The client went away: abort the solve and free its slot.
-		e.CancelJob(j.ID())
-		<-j.Done()
-	}
-	// Render from the job's wire result, not the engine Result: the wire
-	// form survives trimAfterDelta (a delta may land between job completion
-	// and this read) and already encodes the package against base-relation
-	// tuple indices.
-	wres, apiErr := j.WireResult()
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	if wres == nil {
-		writeError(w, &client.Error{Code: client.CodeInternal, Message: "job finished without a result", HTTPStatus: http.StatusInternalServerError})
-		return
-	}
-
-	resp := QueryResponse{
-		Feasible:       wres.Feasible,
-		Objective:      wres.Objective,
-		EpsUpper:       wres.EpsUpper, // already Inf-scrubbed by resultToWire
-		Surpluses:      wres.Surpluses,
-		M:              wres.M,
-		Z:              wres.Z,
-		PackageSize:    wres.PackageSize,
-		Package:        []PackageTuple{},
-		CacheHit:       wres.PlanCacheHit,
-		ResultCacheHit: wres.ResultCacheHit,
-		Degraded:       wres.Degraded,
-		Gap:            wres.Gap,
-		WaitMS:         wres.WaitMS,
-		TotalMS:        time.Since(start).Milliseconds(),
-	}
-	if wres.Sketch != nil {
-		resp.Sketch = &SketchInfo{
-			Groups:     wres.Sketch.Groups,
-			Shards:     wres.Sketch.Shards,
-			Candidates: wres.Sketch.Candidates,
-			FellBack:   wres.Sketch.FellBack,
-		}
-	}
-	for _, pt := range wres.Package {
-		resp.Package = append(resp.Package, PackageTuple(pt))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}

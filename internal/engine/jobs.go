@@ -168,7 +168,7 @@ func (j *Job) Snapshot(since int) *client.Job {
 // importantly — the pinned pre-delta snapshot they reference are dropped, so
 // a long job history cannot keep every superseded relation version resident.
 // The rendered wire result (OrigIndex-mapped package tuples, objective,
-// counters) keeps serving polls and the legacy /query shim unchanged.
+// counters) keeps serving polls unchanged.
 func (j *Job) trimAfterDelta(table string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -370,8 +370,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		e.jobsMu.Unlock()
 		cancel()
 		// Mirror Engine.Query's counting for rejected requests, so the
-		// queries total still means "requests received" after the legacy
-		// shim moved onto this path.
+		// queries total means "requests received".
 		e.m.queries.Inc()
 		e.m.rejected.Inc()
 		return nil, ErrOverloaded

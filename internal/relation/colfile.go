@@ -14,6 +14,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 )
 
 const (
@@ -124,10 +126,27 @@ type mmapColumn struct {
 
 func (s *mmapColumn) Len() int { return s.n }
 
-func (s *mmapColumn) ReadAt(dst []float64, off int) error {
+// ReadAt copies values out of the mapping. A file truncated under the
+// mapping faults (SIGBUS) on the pages past its new end; the fault is
+// returned as an error wrapping the runtime.Error instead of killing the
+// process.
+func (s *mmapColumn) ReadAt(dst []float64, off int) (err error) {
 	if off < 0 || off+len(dst) > s.n {
 		return fmt.Errorf("relation: column read [%d,%d) out of range [0,%d)", off, off+len(dst), s.n)
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface {
+				runtime.Error
+				Addr() uintptr
+			})
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("relation: column read [%d,%d) faulted (file truncated under the mapping?): %w", off, off+len(dst), fault)
+		}
+	}()
 	base := colHeaderSize + 8*off
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[base+8*i:]))

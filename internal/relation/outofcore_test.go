@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -186,6 +189,53 @@ func TestColumnFileRoundTrip(t *testing.T) {
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("[%d] = %v, want %v", i, got[i], vals[i])
+		}
+	}
+}
+
+// TestTruncatedColumnFileReadErrors truncates a column file under an open
+// lazy relation. A read past the file's new end must come back as an error
+// (a mapped read faults there); the process must not crash, and the other
+// columns must keep serving.
+func TestTruncatedColumnFileReadErrors(t *testing.T) {
+	const n = 5000 // the price column spans ten 4 KiB pages
+	csvText, ids, _ := spillTestCSV(n)
+	dir := t.TempDir()
+	if _, err := SpillCSV("r", strings.NewReader(csvText), dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := OpenColumnDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(columnPath(dir, 1), colHeaderSize); err != nil {
+		t.Fatal(err)
+	}
+
+	blk := make([]float64, 10)
+	err = rel.DetBlock("price", n-len(blk), blk)
+	if err == nil {
+		t.Fatal("block read past the truncated end succeeded")
+	}
+	if _, mapped := rel.detSrcs[rel.detIdx["price"]].(*mmapColumn); mapped {
+		// A mapped read reports the fault itself.
+		var fault runtime.Error
+		if !errors.As(err, &fault) {
+			t.Fatalf("mapped read error %v does not wrap the runtime fault", err)
+		}
+	}
+	if _, err := rel.DetValue("price", n-1); err == nil {
+		t.Fatal("value read past the truncated end succeeded")
+	}
+	if _, err := rel.Det("price"); err == nil {
+		t.Fatal("promoting the truncated column succeeded")
+	}
+	if err := rel.DetBlock("id", n-len(blk), blk); err != nil {
+		t.Fatalf("intact column: %v", err)
+	}
+	for i, v := range blk {
+		if v != ids[n-len(blk)+i] {
+			t.Fatalf("intact id[%d] = %v, want %v", n-len(blk)+i, v, ids[n-len(blk)+i])
 		}
 	}
 }

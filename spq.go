@@ -42,12 +42,11 @@
 //	eng := spq.NewEngine(db, nil)
 //	res, err := eng.Query(ctx, spq.EngineRequest{Query: querySQL})
 //
-// The same engine backs the cmd/spqd daemon. Besides the legacy
-// synchronous POST /query, spqd serves the versioned async API — POST
-// /v1/queries submits a job, GET polls it with streamed per-iteration
-// progress (fed by the Options.Progress seam of the core algorithms),
-// DELETE cancels — with typed options, a structured error envelope with
-// stable codes, and GET /healthz + GET /stats. The spq/client package is
+// The same engine backs the cmd/spqd daemon, which serves the versioned
+// async API — POST /v1/queries submits a job, GET polls it with streamed
+// per-iteration progress (fed by the Options.Progress seam of the core
+// algorithms), DELETE cancels — with typed options, a structured error
+// envelope with stable codes, and GET /healthz + GET /stats. The spq/client package is
 // the typed Go client for that surface (Submit, Wait, Stream, Cancel,
 // automatic 429 retries); cmd/spq's -server flag rides on it.
 //
